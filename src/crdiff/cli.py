@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .brackets import index_label, smoothness_condition, span_rank
-from .dirichlet import EXIT_STATUS_NAMES, koranyi_ball, sample_exits, solve_dirichlet
+from .dirichlet import EXIT_STATUS_NAMES, koranyi_ball, solve_dirichlet
+from .dirichlet import sample_exits  # noqa: F401  (bench/tracer.py wraps it here)
 from .frame_bundle import FrameState
 from .models import heisenberg_model, phase_rotated_heisenberg, validate_model
 from .observables import (
@@ -334,7 +335,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     capped = ens.capped_fraction
     print(f"simulate: {ens.n_paths} paths x {sim.n_steps} steps, "
           f"capped {capped:.2%}, seed={p['seed']} -> {out}")
-    return 1 if capped == 1.0 else 0
+    return 0 if ens.completed.any() else 1
 
 
 def _cmd_density(cfg: RunConfig) -> int:
@@ -513,10 +514,7 @@ def _cmd_dirichlet(cfg: RunConfig) -> int:
         extra_comments=[f"domain {domain.name}", f"data {data_raw}"],
     )
     if p.get("records"):
-        batch = sample_exits(
-            m, x0, domain, sim, p["paths"], n_workers=p["workers"],
-            delta_band=p["delta_band"],
-        )
+        batch = res.batch
         rows = [
             [pid, batch.tau[pid]] + list(batch.points[pid])
             + [EXIT_STATUS_NAMES[batch.status[pid]], batch.phi_residual[pid]]

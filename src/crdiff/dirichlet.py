@@ -17,15 +17,18 @@ the same sampler.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .frame_bundle import velocity_arrays
 from .models import ModelDescriptor
-from .sde import BLOCK, SimConfig, _block_rng, _polar_batch
+from .sde import BLOCK, SimConfig, _block_rng, _heun, _map_blocks
+
+# Not called here (the Heun kernel is sde._heun), but kept as names of this
+# module because the benchmark tracer (bench/tracer.py) wraps them here.
+from .frame_bundle import velocity_arrays  # noqa: F401
+from .sde import _polar_batch  # noqa: F401
 
 __all__ = [
     "Domain",
@@ -143,16 +146,6 @@ class ExitBatch:
         )
 
 
-def _heun(m: ModelDescriptor, x, e, db, reunitarize: bool):
-    dx1, de1 = velocity_arrays(m, x, e, db)
-    dx2, de2 = velocity_arrays(m, x + dx1, e + de1, db)
-    x_new = x + 0.5 * (dx1 + dx2)
-    e_new = e + 0.5 * (de1 + de2)
-    if reunitarize:
-        e_new = _polar_batch(e_new)
-    return x_new, e_new
-
-
 REFINE_EXIT = 0
 REFINE_RESUME = 1
 
@@ -198,66 +191,70 @@ def _refine_events(
     out_e = np.zeros_like(cur_e)
     out_r = np.zeros(c_count)
 
-    def settle(mask, what, x_end, e_end, phi_end):
-        kind[mask] = what
-        out_t[mask] = (t_off + h)[mask]
-        out_x[mask] = x_end[mask]
-        out_e[mask] = e_end[mask]
-        out_r[mask] = phi_end[mask]
-        done[mask] = True
+    def settle(rows, what, x_end, e_end, phi_end):
+        kind[rows] = what
+        out_t[rows] = t_off[rows] + h[rows]
+        out_x[rows] = x_end
+        out_e[rows] = e_end
+        out_r[rows] = phi_end
+        done[rows] = True
 
+    # each iteration steps only the unsettled events; locals are indexed by act
     for _ in range(2 * max_levels + 2):
-        if done.all():
+        act = np.flatnonzero(~done)
+        if not act.size:
             break
-        x_end, e_end = _heun(m, cur_x, cur_e, cur_db, reunitarize)
+        x_end, e_end = _heun(m, cur_x[act], cur_e[act], cur_db[act], reunitarize)
         phi_end = d.phi_at(x_end)
-        outside = ~done & (phi_end >= 0)
-        accept = outside & ((phi_end <= delta_band) | (level >= max_levels))
-        settle(accept, REFINE_EXIT, x_end, e_end, phi_end)
+        outside = phi_end >= 0
+        accept = outside & ((phi_end <= delta_band) | (level[act] >= max_levels))
+        settle(act[accept], REFINE_EXIT, x_end[accept], e_end[accept],
+               phi_end[accept])
 
-        inside = ~done & (phi_end < 0)
+        inside = phi_end < 0
         if inside.any():
             # piece traversed without crossing: advance to its end
-            cur_x[inside] = x_end[inside]
-            cur_e[inside] = e_end[inside]
-            t_off[inside] += h[inside]
-            resume = inside & (depth == 0)
-            settle(resume, REFINE_RESUME, x_end, e_end, phi_end)
-            pop = inside & ~resume
-            if pop.any():
-                idx = np.flatnonzero(pop)
-                depth[idx] -= 1
-                cur_db[idx] = stack_db[idx, depth[idx]]
-                h[idx] = stack_h[idx, depth[idx]]
+            idx = act[inside]
+            cur_x[idx] = x_end[inside]
+            cur_e[idx] = e_end[inside]
+            t_off[idx] += h[idx]
+            resume = depth[idx] == 0
+            settle(idx[resume], REFINE_RESUME, x_end[inside][resume],
+                   e_end[inside][resume], phi_end[inside][resume])
+            pop = idx[~resume]
+            depth[pop] -= 1
+            cur_db[pop] = stack_db[pop, depth[pop]]
+            h[pop] = stack_h[pop, depth[pop]]
 
-        rem = ~done & (phi_end >= 0)
+        rem = outside & ~accept
         if rem.any():
-            g = zdraws[np.arange(c_count), np.minimum(split_ctr, max_levels - 1)]
-            zeta = (g[:, :n] + 1j * g[:, n:]) * np.sqrt(h / 8.0)[:, None]
-            db1 = 0.5 * cur_db + zeta
-            x_mid, e_mid = _heun(m, cur_x, cur_e, db1, reunitarize)
-            phi_mid = d.phi_at(x_mid)
-            first = rem & (phi_mid >= 0)
-            second = rem & ~first
-            if first.any():
-                idx = np.flatnonzero(first)
-                stack_db[idx, depth[idx]] = (cur_db - db1)[idx]
-                stack_h[idx, depth[idx]] = 0.5 * h[idx]
-                depth[idx] += 1
-                cur_db[idx] = db1[idx]
-            if second.any():
-                cur_x[second] = x_mid[second]
-                cur_e[second] = e_mid[second]
-                t_off[second] += 0.5 * h[second]
-                cur_db[second] = (cur_db - db1)[second]
-            h[rem] *= 0.5
-            level[rem] += 1
-            split_ctr[rem] += 1
+            idx = act[rem]
+            g = zdraws[idx, np.minimum(split_ctr[idx], max_levels - 1)]
+            zeta = (g[:, :n] + 1j * g[:, n:]) * np.sqrt(h[idx] / 8.0)[:, None]
+            db1 = 0.5 * cur_db[idx] + zeta
+            x_mid, e_mid = _heun(m, cur_x[idx], cur_e[idx], db1, reunitarize)
+            first = d.phi_at(x_mid) >= 0
+            # crossing in the first half: push the second half, drill in
+            f = idx[first]
+            stack_db[f, depth[f]] = cur_db[f] - db1[first]
+            stack_h[f, depth[f]] = 0.5 * h[f]
+            depth[f] += 1
+            cur_db[f] = db1[first]
+            # first half traversed: continue with the second
+            sec = idx[~first]
+            cur_x[sec] = x_mid[~first]
+            cur_e[sec] = e_mid[~first]
+            t_off[sec] += 0.5 * h[sec]
+            cur_db[sec] = cur_db[sec] - db1[~first]
+            h[idx] *= 0.5
+            level[idx] += 1
+            split_ctr[idx] += 1
 
     if not done.all():
         # unreachable by the iteration bound; settle defensively as exits
-        x_end, e_end = _heun(m, cur_x, cur_e, cur_db, reunitarize)
-        settle(~done, REFINE_EXIT, x_end, e_end, d.phi_at(x_end))
+        idx = np.flatnonzero(~done)
+        x_end, e_end = _heun(m, cur_x[idx], cur_e[idx], cur_db[idx], reunitarize)
+        settle(idx, REFINE_EXIT, x_end, e_end, d.phi_at(x_end))
     return kind, out_t, out_x, out_e, out_r
 
 
@@ -286,15 +283,18 @@ def _exit_block(
 ):
     """Exit sampling for one block of paths; x0 is (P, D).
 
-    Runs in rounds: the vectorized main loop freezes paths at their
-    crossing step, the batched refinement settles them (exit or resume),
-    and resumed paths re-enter the loop at the following step with the
-    block noise stream regenerated, so every path consumes exactly the
-    increments of its slot.
+    Runs in passes.  A pass steps only the live rows and sets each
+    crossing row aside at its crossing step; the batched refinement then
+    settles the crossings (exit or resume).  A resumed path re-enters the
+    next pass at the step after its crossing, with the block generator
+    restored to the state saved right after that step's draw, so every
+    path consumes exactly the increments of its slot and no pass replays
+    the stream from step 0.  Each resume moves a path forward by at least
+    one step, so the passes end.
     """
     n = m.n
     p_count = x0.shape[0]
-    dt = cfg.dt
+    n_steps, dt = cfg.n_steps, cfg.dt
     x = x0.astype(float).copy()
     e = np.broadcast_to(np.eye(n, dtype=complex), (p_count, n, n)).copy()
     tau = np.full(p_count, cfg.t_horizon)
@@ -304,68 +304,69 @@ def _exit_block(
     reunit_every = cfg.reunitarize_every
     scale = np.sqrt(dt / 2.0)
 
-    phi0 = d.phi_at(x)
-    instant = phi0 > 0
+    instant = resid > 0
     tau[instant] = 0.0
     status[instant] = STATUS_EXITED
     pending = ~instant
     start_step = np.zeros(p_count, dtype=np.int64)
 
-    max_rounds = 64
-    for _round in range(max_rounds):
-        if not pending.any():
-            break
-        rng = _block_rng(cfg.seed, block)
-        first_step = int(start_step[pending].min())
-        for _ in range(first_step):
-            rng.standard_normal((BLOCK, 2 * n))
+    rng = _block_rng(cfg.seed, block)
+    # generator state before the draw of step k, for every step k at which
+    # a path enters the coming pass
+    saved = {0: rng.bit_generator.state}
 
-        cross_idx: list[np.ndarray] = []
-        cross_step: list[np.ndarray] = []
-        cross_x: list[np.ndarray] = []
-        cross_e: list[np.ndarray] = []
-        cross_db: list[np.ndarray] = []
-        active = pending & (start_step <= first_step)
+    while pending.any():
+        rows = np.flatnonzero(pending)
+        rows = rows[np.argsort(start_step[rows], kind="stable")]
+        entry, first = np.unique(start_step[rows], return_index=True)
+        joins = dict(zip(entry.tolist(), np.split(rows, first[1:])))
+        next_saved = {}
+        crossings = []
+        live = np.empty(0, dtype=np.int64)
+        k = int(entry[0])
+        rng.bit_generator.state = saved[k]
 
-        for k in range(first_step, cfg.n_steps):
-            waiting = pending & (start_step == k)
-            active |= waiting
-            if not (active.any() or (pending & (start_step > k)).any()):
-                break
-            g = rng.standard_normal((BLOCK, 2 * n))[:p_count]
-            if not active.any():
+        while k < n_steps:
+            if k in joins:
+                live = np.sort(np.concatenate([live, joins.pop(k)]))
+            elif not live.size:
+                # nothing to step until the next entry: jump to its state
+                if not joins:
+                    break
+                k = min(joins)
+                rng.bit_generator.state = saved[k]
                 continue
+            g = rng.standard_normal((BLOCK, 2 * n))[live]
             db = (g[:, :n] + 1j * g[:, n:]) * scale
             reunit = bool(reunit_every) and (k + 1) % reunit_every == 0
-            x_new, e_new = _heun(m, x, e, db, reunit)
-            crossed = active & (d.phi_at(x_new) >= 0)
+            x_new, e_new = _heun(m, x[live], e[live], db, reunit)
+            crossed = d.phi_at(x_new) >= 0
             if crossed.any():
-                idx = np.flatnonzero(crossed)
-                cross_idx.append(idx)
-                cross_step.append(np.full(idx.size, k))
-                cross_x.append(x[idx].copy())
-                cross_e.append(e[idx].copy())
-                cross_db.append(db[idx].copy())
-            upd = active & ~crossed
-            x[upd], e[upd] = x_new[upd], e_new[upd]
-            active = upd
+                idx = live[crossed]
+                crossings.append((idx, k, x[idx], e[idx], db[crossed]))
+                next_saved[k + 1] = rng.bit_generator.state
+                keep = ~crossed
+                live, x_new, e_new = live[keep], x_new[keep], e_new[keep]
+            x[live], e[live] = x_new, e_new
+            k += 1
 
-        # paths that ran out the horizon in this round
-        horizon = active
-        points[horizon] = x[horizon]
-        resid[horizon] = d.phi_at(x[horizon])
-        pending = np.zeros(p_count, dtype=bool)
+        # paths that ran out the horizon in this pass
+        points[live] = x[live]
+        resid[live] = d.phi_at(x[live])
+        pending[:] = False
+        saved = next_saved
 
-        if cross_idx:
-            idx = np.concatenate(cross_idx)
-            steps = np.concatenate(cross_step)
+        if crossings:
+            idx = np.concatenate([c[0] for c in crossings])
+            steps = np.concatenate([np.full(c[0].size, c[1]) for c in crossings])
             zdraws = _event_zdraws(
                 cfg.seed, idx + path_offset, steps, max_levels, n
             )
             kind, t_in, x_out, e_out, r_out = _refine_events(
                 m, d,
-                np.concatenate(cross_x), np.concatenate(cross_e),
-                np.concatenate(cross_db), dt, zdraws,
+                np.concatenate([c[2] for c in crossings]),
+                np.concatenate([c[3] for c in crossings]),
+                np.concatenate([c[4] for c in crossings]), dt, zdraws,
                 delta_band, max_levels, bool(reunit_every),
             )
             exited = kind == REFINE_EXIT
@@ -380,8 +381,8 @@ def _exit_block(
             e[rs] = e_out[res]
             start_step[rs] = steps[res] + 1
             pending[rs] = True
-            pending &= start_step < cfg.n_steps
-            overtime = res & (steps + 1 >= cfg.n_steps)
+            pending &= start_step < n_steps
+            overtime = res & (steps + 1 >= n_steps)
             ov = idx[overtime]
             points[ov] = x_out[overtime]
             resid[ov] = r_out[overtime]
@@ -415,19 +416,13 @@ def sample_exits(
             raise ValueError("per-path starts must match n_paths")
         starts = x0
     m.require_inside(starts)
-    n_blocks = -(-n_paths // BLOCK)
 
-    def run(block: int):
-        lo, hi = block * BLOCK, min((block + 1) * BLOCK, n_paths)
+    def run(block: int, lo: int, hi: int):
         return _exit_block(
             m, d, starts[lo:hi], cfg, block, lo, delta_band, max_refine_levels
         )
 
-    if n_workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run, range(n_blocks)))
-    else:
-        parts = [run(b) for b in range(n_blocks)]
+    parts = _map_blocks(run, n_paths, n_workers)
     tau, points, status, resid = (np.concatenate(a) for a in zip(*parts))
     return ExitBatch(tau=tau, points=points, status=status, phi_residual=resid)
 
@@ -455,6 +450,7 @@ class DirichletResult:
     horizon_fraction: float
     flagged: bool
     collar_max: float
+    batch: ExitBatch = field(repr=False, compare=False)  # the exit samples used
 
 
 def solve_dirichlet(
@@ -490,7 +486,7 @@ def solve_dirichlet(
     collar = float(np.abs(batch.phi_residual[mask]).max())
     return DirichletResult(
         estimate=est, stderr=se, n_used=n_used, horizon_fraction=frac,
-        flagged=frac > horizon_threshold, collar_max=collar,
+        flagged=frac > horizon_threshold, collar_max=collar, batch=batch,
     )
 
 

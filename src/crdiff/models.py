@@ -16,7 +16,7 @@ conjugate, 1 <= a <= n.  Christoffel data is a complex array of shape
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -296,17 +296,7 @@ def phase_rotated_heisenberg(n: int, kappa: float) -> ModelDescriptor:
         return out
 
     m = gauge_rotated_model(base, lam, dlam)
-    return ModelDescriptor(
-        n=m.n,
-        name=f"heisenberg_phase(n={n}, kappa={kappa})",
-        frame=m.frame,
-        char_field=m.char_field,
-        theta=m.theta,
-        christoffel=m.christoffel,
-        volume_density=m.volume_density,
-        frame_jacobian=m.frame_jacobian,
-        chart_bound=m.chart_bound,
-    )
+    return replace(m, name=f"heisenberg_phase(n={n}, kappa={kappa})")
 
 
 # ---------------------------------------------------------------------------

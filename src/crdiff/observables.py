@@ -134,13 +134,13 @@ class SemigroupAverage(NamedTuple):
 def semigroup_average(ens: Ensemble, f: Callable[[np.ndarray], np.ndarray]) -> SemigroupAverage:
     """Monte Carlo heat-semigroup average E[f(X(t))] over terminal points.
 
-    Capped paths are excluded from the mean and reported through the
-    capped fraction.  f must accept batched points (..., D).
+    Capped and non-finite paths are excluded from the mean; the capped
+    fraction is reported.  f must accept batched points (..., D).
     """
     mask = ens.completed
     n_used = int(mask.sum())
     if n_used == 0:
-        raise RuntimeError("all paths were capped; no terminal data to average")
+        raise RuntimeError("no path completed; no terminal data to average")
     vals = np.asarray(f(ens.x[mask]), dtype=float)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_used)) if n_used > 1 else 0.0

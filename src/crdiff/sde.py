@@ -43,7 +43,8 @@ BLOCK = 4096
 
 STATUS_COMPLETED = 0
 STATUS_CAPPED = 1
-STATUS_NAMES = ("completed", "capped")
+STATUS_NONFINITE = 2
+STATUS_NAMES = ("completed", "capped", "nonfinite")
 
 SEED_RULE = (
     "block b: PCG64(SeedSequence(seed, spawn_key=(0, b))), "
@@ -57,7 +58,8 @@ class SimConfig:
     """Time grid, seed, and housekeeping for one simulation run.
 
     coordinate_cap stands in for non-explosion: a path whose sup-norm
-    exceeds it is frozen and flagged capped rather than dropped.
+    exceeds it is frozen and flagged capped rather than dropped.  A path
+    whose state turns NaN or infinite is frozen and flagged nonfinite.
     reunitarize_every = 0 disables frame reprojection.
     """
 
@@ -96,7 +98,7 @@ class Records:
     times: np.ndarray        # (K,)
     x: np.ndarray            # (K, P, D)
     e: np.ndarray            # (K, P, n, n)
-    valid: np.ndarray        # (K, P) bool, False once a path is capped
+    valid: np.ndarray        # (K, P) bool, False once a path is stopped
 
 
 @dataclass
@@ -189,12 +191,13 @@ def driving_increments(cfg: SimConfig, n_paths: int, n: int) -> np.ndarray:
     and for driving modified noise through simulate_with_increments.
     """
     out = np.empty((n_paths, cfg.n_steps, n), dtype=complex)
-    n_blocks = -(-n_paths // BLOCK)
-    for b in range(n_blocks):
-        lo, hi = b * BLOCK, min((b + 1) * BLOCK, n_paths)
-        draw = _seeded_draw_fn(cfg.seed, b, n, cfg.dt, hi - lo)
+
+    def fill(block: int, lo: int, hi: int) -> None:
+        draw = _seeded_draw_fn(cfg.seed, block, n, cfg.dt, hi - lo)
         for k in range(cfg.n_steps):
             out[lo:hi, k, :] = draw(k)
+
+    _map_blocks(fill, n_paths, 1)
     return out
 
 
@@ -206,6 +209,17 @@ def _polar_batch(e: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
+def _heun(m: ModelDescriptor, x, e, db, reunitarize: bool):
+    """Heun predictor-corrector step of a batch; rows are independent."""
+    dx1, de1 = velocity_arrays(m, x, e, db)
+    dx2, de2 = velocity_arrays(m, x + dx1, e + de1, db)
+    x_new = x + 0.5 * (dx1 + dx2)
+    e_new = e + 0.5 * (de1 + de2)
+    if reunitarize:
+        e_new = _polar_batch(e_new)
+    return x_new, e_new
+
+
 def step(m: ModelDescriptor, s: FrameState, db: np.ndarray, dt: float,
          reunitarize: bool = True) -> FrameState:
     """One Heun predictor-corrector step of the bundle SDE.
@@ -215,14 +229,21 @@ def step(m: ModelDescriptor, s: FrameState, db: np.ndarray, dt: float,
     """
     del dt
     db = np.asarray(db, dtype=complex)
-    dx1, de1 = velocity_arrays(m, s.x, s.e, db)
-    xp, ep = s.x + dx1, s.e + de1
-    dx2, de2 = velocity_arrays(m, xp, ep, db)
-    x_new = s.x + 0.5 * (dx1 + dx2)
-    e_new = s.e + 0.5 * (de1 + de2)
-    if reunitarize:
-        e_new = _polar_batch(e_new)
-    return FrameState(x_new, e_new)
+    return FrameState(*_heun(m, s.x, s.e, db, reunitarize))
+
+
+def _map_blocks(run, n_paths: int, n_workers: int) -> list:
+    """run(block, lo, hi) for every BLOCK-slot block of n_paths paths.
+
+    Blocks go to a thread pool when there are several workers and blocks;
+    results come back in block order either way.
+    """
+    spans = [(b, b * BLOCK, min((b + 1) * BLOCK, n_paths))
+             for b in range(-(-n_paths // BLOCK))]
+    if n_workers > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            return list(pool.map(lambda span: run(*span), spans))
+    return [run(*span) for span in spans]
 
 
 def _run_block(
@@ -239,7 +260,8 @@ def _run_block(
 
     x0: (P, D), e0: (P, n, n).  Returns (x, e, status, steps_taken,
     records, increments).  Paths that leave the coordinate cap or the
-    chart bound are frozen at their last valid state and flagged.
+    chart bound, or whose state turns non-finite, are frozen at their last
+    valid state and flagged.
     """
     n_steps, dt = cfg.n_steps, cfg.dt
     p_count = x0.shape[0]
@@ -268,22 +290,28 @@ def _run_block(
         db = draw_fn(k)
         if collect_increments:
             inc_list.append(db.copy())
-        dx1, de1 = velocity_arrays(m, x, e, db)
-        dx2, de2 = velocity_arrays(m, x + dx1, e + de1, db)
-        x_new = x + 0.5 * (dx1 + dx2)
-        e_new = e + 0.5 * (de1 + de2)
-        if reunit and (k + 1) % reunit == 0:
-            e_new = _polar_batch(e_new)
-        bad = np.abs(x_new).max(axis=-1) > cap
+        x_new, e_new = _heun(
+            m, x, e, db, bool(reunit) and (k + 1) % reunit == 0
+        )
+        x_max = np.abs(x_new).max(axis=-1)
+        bad = x_max > cap
+        # NaN compares False against the cap, so finiteness is tested on
+        # its own: a whole-batch test first, rows only when it fails
+        finite = np.isfinite(x_max).all() and np.isfinite(e_new).all()
+        if not finite:
+            nonfinite = ~(np.isfinite(x_max) & np.isfinite(e_new).all(axis=(-2, -1)))
+            bad |= nonfinite
         if m.chart_bound is not None:
             bad |= ~m.inside_chart(x_new)
-        newly_capped = active & bad
         upd = active & ~bad
         if observer is not None:
             observer(k, x, e, x_new, e_new, db, upd)
         x[upd], e[upd] = x_new[upd], e_new[upd]
-        steps_taken[newly_capped] = k
-        status[newly_capped] = STATUS_CAPPED
+        stopped = active & bad
+        steps_taken[stopped] = k
+        status[stopped] = STATUS_CAPPED
+        if not finite:
+            status[stopped & nonfinite] = STATUS_NONFINITE
         active = upd
         if rec is not None and (k + 1) % cfg.record_stride == 0:
             t_idx = (k + 1) // cfg.record_stride
@@ -305,7 +333,7 @@ def _extract_path(cfg: SimConfig, x, e, status, steps_taken, rec, increments, sl
         times = rec.times[mask]
         xs, es = rec.x[mask, slot], rec.e[mask, slot]
         final_t = s_taken * cfg.dt
-        if stat == "capped" and (times.size == 0 or times[-1] < final_t - 1e-15):
+        if stat != "completed" and (times.size == 0 or times[-1] < final_t - 1e-15):
             times = np.append(times, final_t)
             xs = np.concatenate([xs, x[None, slot]])
             es = np.concatenate([es, e[None, slot]])
@@ -378,10 +406,8 @@ def simulate_ensemble(
     m.require_inside(s0.x)
     factories = observer_factories or {}
     obs_names = list(factories)
-    n_blocks = -(-n_paths // BLOCK)
 
-    def run(block: int):
-        lo, hi = block * BLOCK, min((block + 1) * BLOCK, n_paths)
+    def run(block: int, lo: int, hi: int):
         width = hi - lo
         x0 = np.repeat(s0.x[None].astype(float), width, axis=0)
         e0 = np.repeat(s0.e[None].astype(complex), width, axis=0)
@@ -398,11 +424,7 @@ def simulate_ensemble(
         )
         return x, e, st, steps, rec, [ob.values for ob in observers]
 
-    if n_workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run, range(n_blocks)))
-    else:
-        parts = [run(b) for b in range(n_blocks)]
+    parts = _map_blocks(run, n_paths, n_workers)
     return _assemble(m.name, cfg, n_paths, parts, obs_names)
 
 

@@ -183,6 +183,31 @@ def test_dirichlet_command_and_flag_marker(tmp_path, capsys):
     assert "FLAGGED" in capsys.readouterr().out
 
 
+def test_dirichlet_records_reuse_the_solve_batch(tmp_path, monkeypatch):
+    import crdiff.cli as cli
+    import crdiff.dirichlet as dirichlet
+
+    calls = []
+    real = dirichlet.sample_exits
+
+    def counting(*args, **kwargs):
+        calls.append(args[4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dirichlet, "sample_exits", counting)
+    monkeypatch.setattr(cli, "sample_exits", counting)
+    rec = tmp_path / "rec.csv"
+    args = (
+        f"dirichlet --domain koranyi:1.0 --data u1 --start 0.5,0,0 --paths 40 "
+        f"--steps 400 --t-horizon 2 --seed 15 --output {tmp_path / 'est.csv'} "
+        f"--records {rec}"
+    ).split()
+    assert main(args) == 0
+    assert calls == [40]
+    rows = [l for l in _read(rec).decode().splitlines() if not l.startswith("#")]
+    assert len(rows) == 41
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("CRDIFF_OUTPUT_DIR", str(tmp_path))
     assert main("line-integral --form du1 --paths 20 --steps 20 --seed 14".split()) == 0

@@ -1,10 +1,26 @@
 """Integrator contracts: increments, exactness, invariances, reproducibility."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from crdiff import FrameState, SimConfig, sample_increment, simulate_ensemble, simulate_path, step
-from crdiff.sde import BLOCK, driving_increments, simulate_with_increments
+from crdiff import (
+    FrameState,
+    SimConfig,
+    sample_increment,
+    semigroup_average,
+    simulate_ensemble,
+    simulate_path,
+    step,
+)
+from crdiff.sde import (
+    BLOCK,
+    STATUS_NAMES,
+    STATUS_NONFINITE,
+    driving_increments,
+    simulate_with_increments,
+)
 
 ORIGIN1 = FrameState(np.zeros(3), np.eye(1))
 
@@ -287,3 +303,43 @@ def test_unitarity_drift_without_projection(gauge1):
         ).max()
     assert defects[1000] < 0.05
     assert defects[1000] < defects[250]
+
+
+# --- non-finite paths ----------------------------------------------------------
+
+
+def _nan_beyond(m, radius):
+    """The model with a frame that turns NaN once |u1| exceeds radius."""
+
+    def frame(x):
+        z = m.frame(x)
+        far = np.abs(np.asarray(x)[..., 0]) > radius
+        return np.where(far[..., None, None], np.nan, z)
+
+    return dataclasses.replace(m, frame=frame)
+
+
+def test_nonfinite_paths_flagged_not_completed(heis1):
+    m = _nan_beyond(heis1, 0.3)
+    cfg = SimConfig(t_horizon=1.0, n_steps=50, seed=12)
+    ens = simulate_ensemble(m, ORIGIN1, cfg, 200)
+    bad = ens.status == STATUS_NONFINITE
+    assert STATUS_NAMES[STATUS_NONFINITE] == "nonfinite"
+    assert 0 < bad.sum() < 200
+    assert ens.capped_fraction == 0.0
+    assert not ens.completed[bad].any()
+    assert (ens.steps_taken[bad] < cfg.n_steps).all()
+    # frozen at the last finite state
+    assert np.isfinite(ens.x).all() and np.isfinite(ens.e).all()
+    out = semigroup_average(ens, lambda x: x[..., 0])
+    assert np.isfinite(out.mean)
+    assert out.n_used == int((~bad).sum())
+
+
+def test_nonfinite_single_path_status(heis1):
+    m = _nan_beyond(heis1, 0.05)
+    cfg = SimConfig(t_horizon=1.0, n_steps=200, seed=13)
+    path = simulate_path(m, ORIGIN1, cfg)
+    assert path.status == "nonfinite"
+    assert np.isfinite(path.x).all()
+    assert path.times[-1] < 1.0
