@@ -522,11 +522,14 @@ def _cmd_dirichlet(cfg: RunConfig) -> int:
         ]
         _write_csv(p["records"], cfg,
                    ["path_id", "tau"] + names + ["status", "phi_residual"], rows)
-    flag = " [FLAGGED: horizon fraction above threshold]" if res.flagged else ""
+    flag = ""
+    if res.flagged:
+        flag = " [FLAGGED: share of paths that did not exit above threshold]"
     print(
         f"dirichlet[{data_raw}@{domain.name}]: estimate {res.estimate:.6g} "
         f"+- {res.stderr:.2g}, horizon {res.horizon_fraction:.2%}, "
-        f"collar {res.collar_max:.2e}, seed={p['seed']} -> {out}{flag}"
+        f"collar {res.collar_max:.2e}, nonfinite {res.batch.nonfinite_count}, "
+        f"level-budget exits {res.level_budget_exits}, seed={p['seed']} -> {out}{flag}"
     )
     return 0
 

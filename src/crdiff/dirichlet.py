@@ -50,7 +50,8 @@ GRAD_STEP = 1e-6
 
 STATUS_EXITED = 0
 STATUS_HORIZON = 1
-EXIT_STATUS_NAMES = ("exited", "horizon_exceeded")
+STATUS_NONFINITE = 2
+EXIT_STATUS_NAMES = ("exited", "horizon_exceeded", "nonfinite")
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,15 @@ class ExitRecord:
 
 @dataclass
 class ExitBatch:
-    """Vectorized exit data; horizon paths carry tau = t_horizon."""
+    """Vectorized exit data; horizon paths carry tau = t_horizon.
+
+    A path whose state turns NaN or infinite is retired with status
+    nonfinite, at the time and point of its last finite state.
+    """
 
     tau: np.ndarray            # (P,)
     points: np.ndarray         # (P, D)
-    status: np.ndarray         # (P,) uint8
+    status: np.ndarray         # (P,) uint8, see EXIT_STATUS_NAMES
     phi_residual: np.ndarray   # (P,) signed phi at the recorded point
 
     @property
@@ -136,6 +141,10 @@ class ExitBatch:
     @property
     def horizon_fraction(self) -> float:
         return float(np.mean(self.status == STATUS_HORIZON))
+
+    @property
+    def nonfinite_count(self) -> int:
+        return int(np.count_nonzero(self.status == STATUS_NONFINITE))
 
     def record(self, i: int) -> ExitRecord:
         return ExitRecord(
@@ -148,6 +157,7 @@ class ExitBatch:
 
 REFINE_EXIT = 0
 REFINE_RESUME = 1
+REFINE_NONFINITE = 2
 
 
 def _refine_events(
@@ -170,7 +180,8 @@ def _refine_events(
     per-path stack.  Terminates with either an exit point in the collar
     (or, past the level budget, the current overshoot) or, when the
     refined step turns out not to cross at all, a resume state at the end
-    of the step.
+    of the step.  A piece that ends non-finite settles the event as
+    nonfinite at the piece's start, the last finite state.
 
     Returns (kind, t_in_step, x_out, e_out, residual) arrays.
     """
@@ -199,6 +210,12 @@ def _refine_events(
         out_r[rows] = phi_end
         done[rows] = True
 
+    def lose(rows):
+        # the piece from cur_x turned non-finite: keep its finite start
+        settle(rows, REFINE_NONFINITE, cur_x[rows], cur_e[rows],
+               d.phi_at(cur_x[rows]))
+        out_t[rows] = t_off[rows]
+
     # each iteration steps only the unsettled events; locals are indexed by act
     for _ in range(2 * max_levels + 2):
         act = np.flatnonzero(~done)
@@ -206,12 +223,15 @@ def _refine_events(
             break
         x_end, e_end = _heun(m, cur_x[act], cur_e[act], cur_db[act], reunitarize)
         phi_end = d.phi_at(x_end)
-        outside = phi_end >= 0
+        bad = ~np.isfinite(phi_end)
+        if bad.any():
+            lose(act[bad])
+        outside = (phi_end >= 0) & ~bad
         accept = outside & ((phi_end <= delta_band) | (level[act] >= max_levels))
         settle(act[accept], REFINE_EXIT, x_end[accept], e_end[accept],
                phi_end[accept])
 
-        inside = phi_end < 0
+        inside = (phi_end < 0) & ~bad
         if inside.any():
             # piece traversed without crossing: advance to its end
             idx = act[inside]
@@ -233,7 +253,13 @@ def _refine_events(
             zeta = (g[:, :n] + 1j * g[:, n:]) * np.sqrt(h[idx] / 8.0)[:, None]
             db1 = 0.5 * cur_db[idx] + zeta
             x_mid, e_mid = _heun(m, cur_x[idx], cur_e[idx], db1, reunitarize)
-            first = d.phi_at(x_mid) >= 0
+            phi_mid = d.phi_at(x_mid)
+            lost = ~np.isfinite(phi_mid)
+            if lost.any():
+                lose(idx[lost])
+                idx, db1, x_mid, e_mid, phi_mid = (
+                    a[~lost] for a in (idx, db1, x_mid, e_mid, phi_mid))
+            first = phi_mid >= 0
             # crossing in the first half: push the second half, drill in
             f = idx[first]
             stack_db[f, depth[f]] = cur_db[f] - db1[first]
@@ -290,7 +316,9 @@ def _exit_block(
     restored to the state saved right after that step's draw, so every
     path consumes exactly the increments of its slot and no pass replays
     the stream from step 0.  Each resume moves a path forward by at least
-    one step, so the passes end.
+    one step, so the passes end.  A row whose phi turns NaN or infinite
+    leaves the live set at once, retired as nonfinite at its last finite
+    state.
     """
     n = m.n
     p_count = x0.shape[0]
@@ -340,12 +368,22 @@ def _exit_block(
             db = (g[:, :n] + 1j * g[:, n:]) * scale
             reunit = bool(reunit_every) and (k + 1) % reunit_every == 0
             x_new, e_new = _heun(m, x[live], e[live], db, reunit)
-            crossed = d.phi_at(x_new) >= 0
-            if crossed.any():
-                idx = live[crossed]
-                crossings.append((idx, k, x[idx], e[idx], db[crossed]))
-                next_saved[k + 1] = rng.bit_generator.state
-                keep = ~crossed
+            phi = d.phi_at(x_new)
+            bad = ~np.isfinite(phi)
+            gone = (phi >= 0) | bad
+            if gone.any():
+                if bad.any():
+                    idx = live[bad]
+                    tau[idx] = k * dt
+                    points[idx] = x[idx]
+                    resid[idx] = d.phi_at(x[idx])
+                    status[idx] = STATUS_NONFINITE
+                crossed = gone & ~bad
+                if crossed.any():
+                    idx = live[crossed]
+                    crossings.append((idx, k, x[idx], e[idx], db[crossed]))
+                    next_saved[k + 1] = rng.bit_generator.state
+                keep = ~gone
                 live, x_new, e_new = live[keep], x_new[keep], e_new[keep]
             x[live], e[live] = x_new, e_new
             k += 1
@@ -369,12 +407,13 @@ def _exit_block(
                 np.concatenate([c[4] for c in crossings]), dt, zdraws,
                 delta_band, max_levels, bool(reunit_every),
             )
-            exited = kind == REFINE_EXIT
-            ex = idx[exited]
-            tau[ex] = steps[exited] * dt + t_in[exited]
-            points[ex] = x_out[exited]
-            resid[ex] = r_out[exited]
-            status[ex] = STATUS_EXITED
+            settled = kind != REFINE_RESUME
+            st = idx[settled]
+            tau[st] = steps[settled] * dt + t_in[settled]
+            points[st] = x_out[settled]
+            resid[st] = r_out[settled]
+            status[st] = np.where(kind[settled] == REFINE_EXIT,
+                                  STATUS_EXITED, STATUS_NONFINITE)
             res = kind == REFINE_RESUME
             rs = idx[res]
             x[rs] = x_out[res]
@@ -450,6 +489,7 @@ class DirichletResult:
     horizon_fraction: float
     flagged: bool
     collar_max: float
+    level_budget_exits: int    # exits recorded outside the collar
     batch: ExitBatch = field(repr=False, compare=False)  # the exit samples used
 
 
@@ -467,9 +507,12 @@ def solve_dirichlet(
 ) -> DirichletResult:
     """Monte Carlo harmonic average of boundary data at exit points.
 
-    Horizon-exceeded paths are excluded and reported; the result is
-    flagged when their fraction passes the threshold.  f only needs to be
-    evaluable in the collar around the boundary.
+    Horizon-exceeded and non-finite paths are excluded and reported; the
+    result is flagged when the share of paths that did not exit passes
+    the threshold, since the estimate then rests on a biased subsample.
+    Exits recorded outside the collar, which refinement accepts once it
+    runs out of levels, are counted.  f only needs to be evaluable in the
+    collar around the boundary.
     """
     batch = sample_exits(
         m, x0, d, cfg, n_paths, n_workers=n_workers,
@@ -482,11 +525,13 @@ def solve_dirichlet(
     vals = np.asarray(f(batch.points[mask]), dtype=float)
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(n_used)) if n_used > 1 else 0.0
-    frac = batch.horizon_fraction
-    collar = float(np.abs(batch.phi_residual[mask]).max())
+    resid = np.abs(batch.phi_residual[mask])
     return DirichletResult(
-        estimate=est, stderr=se, n_used=n_used, horizon_fraction=frac,
-        flagged=frac > horizon_threshold, collar_max=collar, batch=batch,
+        estimate=est, stderr=se, n_used=n_used,
+        horizon_fraction=batch.horizon_fraction,
+        flagged=float(np.mean(batch.status != STATUS_EXITED)) > horizon_threshold,
+        collar_max=float(resid.max()),
+        level_budget_exits=int(np.count_nonzero(resid > delta_band)), batch=batch,
     )
 
 
@@ -542,7 +587,8 @@ def mean_exit_time(
 ) -> MeanExitTime:
     """Mean first-exit time; horizon paths enter at the horizon value.
 
-    Any horizon-exceeded path makes the estimate a lower bound, which is
+    Non-finite paths enter at the time of their last finite state.  Any
+    path of either kind makes the estimate a lower bound, which is
     flagged rather than silently dropped.
     """
     batch = sample_exits(
@@ -554,5 +600,5 @@ def mean_exit_time(
     return MeanExitTime(
         mean=mean, stderr=se,
         horizon_fraction=batch.horizon_fraction,
-        is_lower_bound=bool((batch.status == STATUS_HORIZON).any()),
+        is_lower_bound=bool((batch.status != STATUS_EXITED).any()),
     )

@@ -8,6 +8,7 @@ functions summarize scalar samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -166,8 +167,12 @@ def _bandwidth(samples: np.ndarray, rule) -> np.ndarray:
     return bw
 
 
+# points (or grid nodes) per block: KDE temporaries stay within KDE_CHUNK x M
+KDE_CHUNK = 2048
+
+
 def _kde_eval(samples: np.ndarray, points: np.ndarray, bw: np.ndarray,
-              chunk: int = 2048) -> np.ndarray:
+              chunk: int = KDE_CHUNK) -> np.ndarray:
     """Product-Gaussian KDE of samples evaluated at points (Lebesgue density)."""
     m_count, _dim = samples.shape
     norm = m_count * np.prod(bw * np.sqrt(2.0 * np.pi))
@@ -180,6 +185,32 @@ def _kde_eval(samples: np.ndarray, points: np.ndarray, bw: np.ndarray,
         d2 = np.einsum("qd,qd->q", pc, pc)[:, None] + s_sq[None, :] - 2.0 * (pc @ s.T)
         out[lo : lo + chunk] = np.exp(-0.5 * np.maximum(d2, 0.0)).sum(axis=1)
     return out / norm
+
+
+def _grid_kde(samples: np.ndarray, axes: list[np.ndarray], bw: np.ndarray) -> np.ndarray:
+    """Product-Gaussian KDE of samples on the tensor grid of axes.
+
+    The kernel factors over axes, so the value at node (i_0, ..., i_L) is
+    sum_m prod_d K_d[i_d, m] with K_d[i, m] = exp(-((axes[d][i] - x_md) / bw_d)^2 / 2).
+    The leading nodes are taken KDE_CHUNK at a time: the chunk's product
+    of leading factors is one matmul against the last axis's factor.
+    """
+    m_count = samples.shape[0]
+    norm = m_count * np.prod(bw * np.sqrt(2.0 * np.pi))
+    factors = [np.exp(-0.5 * ((ax[:, None] - samples[:, d]) / bw[d]) ** 2)
+               for d, ax in enumerate(axes)]
+    *lead, last = factors
+    lead_shape = [f.shape[0] for f in lead]
+    n_lead = math.prod(lead_shape)
+    out = np.empty((n_lead, last.shape[0]))
+    for start in range(0, n_lead, KDE_CHUNK):
+        rows = np.arange(start, min(start + KDE_CHUNK, n_lead))
+        first, *rest = np.unravel_index(rows, lead_shape)
+        w = lead[0][first]
+        for f, i in zip(lead[1:], rest):
+            w *= f[i]
+        np.matmul(w, last.T, out=out[start:start + rows.size])
+    return out.reshape([ax.size for ax in axes]) / norm
 
 
 @dataclass
@@ -219,6 +250,14 @@ def estimate_density(
     density against Lebesgue measure divided by the model's volume
     density at each grid node).  Requires at least 100 completed paths
     and at least one sample inside the window.
+
+    The product kernel on a tensor grid is separable: one (G_d, M) factor
+    of one-axis Gaussians per axis, contracted with outer products over
+    the leading axes and a matmul against the last axis.  No KDE temporary
+    exceeds KDE_CHUNK = 2048 grid nodes by M samples in any dimension: the
+    leading nodes are taken in chunks of at most KDE_CHUNK (on the 21^3
+    grid of a 2048-path n = 1 run there is one chunk of 441 x 2048).
+    The volume density is still evaluated on the full node array.
     """
     samples = ens.x[ens.completed]
     if samples.shape[0] < 100:
@@ -233,11 +272,10 @@ def estimate_density(
     if isinstance(grid_points, int):
         grid_points = (grid_points,) * dim
     axes = [np.linspace(window[d, 0], window[d, 1], grid_points[d]) for d in range(dim)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    flat = mesh.reshape(-1, dim)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     bw = _bandwidth(samples, bandwidth)
-    raw = _kde_eval(samples, flat, bw).reshape(mesh.shape[:-1])
-    vol = np.asarray(m.volume_density(flat), dtype=float).reshape(mesh.shape[:-1])
+    raw = _grid_kde(samples, axes, bw)
+    vol = np.asarray(m.volume_density(nodes), dtype=float).reshape(raw.shape)
     return DensityEstimate(
         axes=axes, values=raw / vol, volume=vol, bandwidth=bw,
         n_samples=int(samples.shape[0]), window=window,

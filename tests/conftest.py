@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,22 @@ def heis2():
 @pytest.fixture(scope="session")
 def gauge1():
     return phase_rotated_heisenberg(1, 0.9)
+
+
+def _nan_beyond(m, radius):
+    """The model with a frame that turns NaN once |u1| exceeds radius."""
+
+    def frame(x):
+        z = m.frame(x)
+        far = np.abs(np.asarray(x)[..., 0]) > radius
+        return np.where(far[..., None, None], np.nan, z)
+
+    return dataclasses.replace(m, frame=frame)
+
+
+@pytest.fixture(scope="session")
+def nan_beyond():
+    return _nan_beyond
 
 
 class UnitarityObserver:

@@ -173,6 +173,9 @@ def test_dirichlet_command_and_flag_marker(tmp_path, capsys):
     line = [l for l in _read(out).decode().splitlines() if not l.startswith("#")][1]
     estimate = float(line.split(",")[0])
     assert abs(estimate - 0.2) < 0.1
+    # path counts go to the summary line only, not the CSV
+    summary = capsys.readouterr().out
+    assert "nonfinite 0, level-budget exits 0" in summary
     # a horizon too short to drain flags the result but still exits 0
     out2 = tmp_path / "dir2.csv"
     args2 = (

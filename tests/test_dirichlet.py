@@ -12,7 +12,13 @@ from crdiff import (
     sample_exits,
     solve_dirichlet,
 )
-from crdiff.dirichlet import DELTA_BAND, Domain, STATUS_EXITED
+from crdiff.dirichlet import (
+    DELTA_BAND,
+    EXIT_STATUS_NAMES,
+    STATUS_EXITED,
+    STATUS_NONFINITE,
+    Domain,
+)
 
 # pinned from a brute-force run at dt = 5e-4 (16000 steps over horizon 8,
 # 10^4 paths): 0.797 +- 0.005; regression-tested within 5 percent
@@ -216,6 +222,63 @@ def test_deep_interior_point_stays(heis1):
     cfg = SimConfig(t_horizon=1e-3, n_steps=200, seed=314)
     batch = sample_exits(heis1, np.zeros(3), BALL, cfg, 200)
     assert (batch.status == STATUS_EXITED).mean() == 0.0
+
+
+# --- non-finite paths and the refinement level budget -----------------------------
+
+
+def test_nonfinite_exit_paths_retired(heis1, nan_beyond):
+    """A frame that turns NaN past |u1| = 0.3: such paths are retired as
+    nonfinite at their last finite state instead of running to the horizon,
+    and the solver leaves them out of its estimate."""
+    m = nan_beyond(heis1, 0.3)
+    cfg = SimConfig(t_horizon=2.0, n_steps=200, seed=317)
+    batch = sample_exits(m, np.zeros(3), BALL, cfg, 50)
+    assert EXIT_STATUS_NAMES[STATUS_NONFINITE] == "nonfinite"
+    bad = batch.status == STATUS_NONFINITE
+    assert batch.horizon_fraction == 0.0
+    assert 0 < batch.nonfinite_count == bad.sum()
+    assert bad.sum() + batch.exited.sum() == 50
+    assert np.isfinite(batch.points).all() and np.isfinite(batch.phi_residual).all()
+    assert (batch.phi_residual[bad] < 0).all()
+    assert (batch.tau[bad] < cfg.t_horizon).all()
+    res = solve_dirichlet(m, BALL, lambda x: x[..., 0], np.zeros(3), 50, cfg)
+    assert res.batch.nonfinite_count == batch.nonfinite_count
+    assert res.n_used == batch.exited.sum()
+    assert np.isfinite(res.estimate)
+    # the estimate rests on the few paths that avoided the NaN region
+    assert res.horizon_fraction == 0.0 and res.flagged
+    assert mean_exit_time(m, BALL, np.zeros(3), 50, cfg).is_lower_bound
+
+
+def test_nonfinite_during_refinement(heis1, nan_beyond):
+    """In a ball just wider than the finite region, refinement substeps
+    also turn non-finite; those events keep their last finite state."""
+    m = nan_beyond(heis1, 0.3)
+    cfg = SimConfig(t_horizon=2.0, n_steps=100, seed=318)
+    batch = sample_exits(m, np.zeros(3), koranyi_ball(1, 0.35), cfg, 200)
+    bad = batch.status == STATUS_NONFINITE
+    assert bad.any() and batch.horizon_fraction == 0.0
+    # coarse retirements sit on the step grid; refined ones between its nodes
+    off_grid = np.abs(batch.tau[bad] / cfg.dt - np.round(batch.tau[bad] / cfg.dt))
+    assert (off_grid > 1e-9).any()
+    assert np.isfinite(batch.points).all() and np.isfinite(batch.phi_residual).all()
+    assert (batch.phi_residual[bad] < 0).all()
+
+
+def test_level_budget_exits_counted(heis1):
+    """With two refinement levels some exits are accepted outside the
+    collar; with the default budget none are."""
+    f = lambda x: x[..., 0]
+    cfg = SimConfig(t_horizon=4.0, n_steps=400, seed=319)
+    res = solve_dirichlet(heis1, BALL, f, np.zeros(3), 200, cfg, max_refine_levels=2)
+    batch = res.batch
+    outside = batch.exited & (np.abs(batch.phi_residual) > DELTA_BAND)
+    assert res.level_budget_exits == outside.sum() > 0
+    assert res.collar_max > DELTA_BAND
+    full = solve_dirichlet(heis1, BALL, f, np.zeros(3), 200, cfg)
+    assert full.level_budget_exits == 0
+    assert full.collar_max <= DELTA_BAND
 
 
 @pytest.mark.slow

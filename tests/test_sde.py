@@ -1,7 +1,5 @@
 """Integrator contracts: increments, exactness, invariances, reproducibility."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -308,19 +306,8 @@ def test_unitarity_drift_without_projection(gauge1):
 # --- non-finite paths ----------------------------------------------------------
 
 
-def _nan_beyond(m, radius):
-    """The model with a frame that turns NaN once |u1| exceeds radius."""
-
-    def frame(x):
-        z = m.frame(x)
-        far = np.abs(np.asarray(x)[..., 0]) > radius
-        return np.where(far[..., None, None], np.nan, z)
-
-    return dataclasses.replace(m, frame=frame)
-
-
-def test_nonfinite_paths_flagged_not_completed(heis1):
-    m = _nan_beyond(heis1, 0.3)
+def test_nonfinite_paths_flagged_not_completed(heis1, nan_beyond):
+    m = nan_beyond(heis1, 0.3)
     cfg = SimConfig(t_horizon=1.0, n_steps=50, seed=12)
     ens = simulate_ensemble(m, ORIGIN1, cfg, 200)
     bad = ens.status == STATUS_NONFINITE
@@ -336,8 +323,8 @@ def test_nonfinite_paths_flagged_not_completed(heis1):
     assert out.n_used == int((~bad).sum())
 
 
-def test_nonfinite_single_path_status(heis1):
-    m = _nan_beyond(heis1, 0.05)
+def test_nonfinite_single_path_status(heis1, nan_beyond):
+    m = nan_beyond(heis1, 0.05)
     cfg = SimConfig(t_horizon=1.0, n_steps=200, seed=13)
     path = simulate_path(m, ORIGIN1, cfg)
     assert path.status == "nonfinite"
