@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-8
+# a frame whose smallest singular value is at most this fraction of its
+# largest is treated as singular
+SINGULAR_RTOL = 1e3 * np.finfo(float).eps
 
 
 class TransportPrecisionError(RuntimeError):
@@ -71,12 +74,16 @@ def velocity_arrays(
     Returns (dx, de) with dx real of shape (..., D) and de complex of
     shape (..., n, n).  dx is the real part of the moved frame direction
     taken twice, which is identically real; de solves the parallelism
-    constraint de = -G e with G built from the Christoffel symbols.
+    constraint de = -G e with G built from the Christoffel symbols.  On a
+    model with a flat connection G = 0: de is zero and christoffel is not
+    evaluated.
     """
     n = m.n
     z = m.frame(x)                                        # (..., D, n)
     w = np.einsum("...ba,...a->...b", e, xi)              # frame coefficients
     dx = 2.0 * np.real(np.einsum("...kb,...b->...k", z, w))
+    if m.flat_connection:
+        return dx, np.zeros(dx.shape[:-1] + (n, n), dtype=complex)
     gam = m.christoffel(x)                                # (..., 2n+1, n, n)
     g = np.einsum("...b,...bdg->...gd", w, gam[..., 1 : n + 1, :, :])
     g += np.einsum("...b,...bdg->...gd", np.conj(w), gam[..., n + 1 :, :, :])
@@ -113,7 +120,7 @@ def reunitarize(e: np.ndarray) -> np.ndarray:
     """
     e = np.asarray(e, dtype=complex)
     u, s, vh = np.linalg.svd(e)
-    if np.any(s[..., -1] <= 1e3 * np.finfo(float).eps * s[..., 0]):
+    if np.any(s[..., -1] <= SINGULAR_RTOL * s[..., 0]):
         raise ValueError("cannot reunitarize a singular frame matrix")
     return u @ vh
 

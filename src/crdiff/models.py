@@ -66,6 +66,12 @@ class ModelDescriptor:
                           with respect to Lebesgue measure on the chart
     frame_jacobian(x)  -> (..., D, D, n), [k, j, a] = d_j (Z_{a+1})^k, or None
     chart_bound        -> (D, 2) closed box of chart validity, or None
+    flat_connection    -> True declares that christoffel vanishes everywhere.
+                          Parallel transport is then the identity, and the
+                          integrator carries the frame unchanged without
+                          evaluating christoffel.  The declaration is probed
+                          at one point inside the chart on construction,
+                          including through dataclasses.replace.
     """
 
     n: int
@@ -77,6 +83,19 @@ class ModelDescriptor:
     volume_density: Callable[[np.ndarray], np.ndarray]
     frame_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     chart_bound: np.ndarray | None = None
+    flat_connection: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.flat_connection:
+            return
+        probe = np.linspace(0.1, 0.3, self.dim)
+        if self.chart_bound is not None:
+            probe = np.clip(probe, self.chart_bound[:, 0], self.chart_bound[:, 1])
+        if np.any(np.asarray(self.christoffel(probe)) != 0):
+            raise ValueError(
+                f"model '{self.name}' declares a flat connection but its "
+                "Christoffel symbols do not vanish"
+            )
 
     @property
     def dim(self) -> int:
@@ -112,9 +131,9 @@ def heisenberg_model(n: int) -> ModelDescriptor:
     """The (2n+1)-dimensional Heisenberg group on its global chart.
 
     Frame Z_a = d/dz^a + i conj(z^a) d/dt expressed in real coordinates
-    (d/dz^a = (d/du^a - i d/dv^a)/2), vanishing Christoffel symbols,
-    transverse field 2 d/dt, and the standard contact form
-    (dt + 2 sum(u dv - v du))/2.
+    (d/dz^a = (d/du^a - i d/dv^a)/2), vanishing Christoffel symbols
+    (declared as a flat connection), transverse field 2 d/dt, and the
+    standard contact form (dt + 2 sum(u dv - v du))/2.
     """
     if n <= 0:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -173,6 +192,7 @@ def heisenberg_model(n: int) -> ModelDescriptor:
         volume_density=volume_density,
         frame_jacobian=frame_jacobian,
         chart_bound=None,
+        flat_connection=True,
     )
 
 

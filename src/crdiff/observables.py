@@ -257,7 +257,8 @@ def estimate_density(
     exceeds KDE_CHUNK = 2048 grid nodes by M samples in any dimension: the
     leading nodes are taken in chunks of at most KDE_CHUNK (on the 21^3
     grid of a 2048-path n = 1 run there is one chunk of 441 x 2048).
-    The volume density is still evaluated on the full node array.
+    The volume density is evaluated KDE_CHUNK nodes at a time too, so the
+    only full-grid arrays are the returned values and volume.
     """
     samples = ens.x[ens.completed]
     if samples.shape[0] < 100:
@@ -272,12 +273,18 @@ def estimate_density(
     if isinstance(grid_points, int):
         grid_points = (grid_points,) * dim
     axes = [np.linspace(window[d, 0], window[d, 1], grid_points[d]) for d in range(dim)]
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     bw = _bandwidth(samples, bandwidth)
     raw = _grid_kde(samples, axes, bw)
-    vol = np.asarray(m.volume_density(nodes), dtype=float).reshape(raw.shape)
+    vol = np.empty(raw.shape)
+    flat_vol = vol.reshape(-1)
+    for start in range(0, vol.size, KDE_CHUNK):
+        rows = np.arange(start, min(start + KDE_CHUNK, vol.size))
+        idx = np.unravel_index(rows, vol.shape)
+        nodes = np.stack([ax[i] for ax, i in zip(axes, idx)], axis=-1)
+        flat_vol[start:start + rows.size] = m.volume_density(nodes)
+    raw /= vol
     return DensityEstimate(
-        axes=axes, values=raw / vol, volume=vol, bandwidth=bw,
+        axes=axes, values=raw, volume=vol, bandwidth=bw,
         n_samples=int(samples.shape[0]), window=window,
     )
 
@@ -299,12 +306,22 @@ def density_at(
 # stochastic line integrals
 
 
-def _paired_integrand(m: ModelDescriptor, form: OneForm, x, e, db) -> np.ndarray:
-    """sum_A Xi(projected L_A) dB^A at given bundle states (complex)."""
+def _frame_pairing(m: ModelDescriptor, form: OneForm, x, e):
+    """Pairings of the moving frame e with the form at bundle states.
+
+    Returns (e^T c, conj(e)^T cbar), each of shape (..., n), where c and
+    cbar are the form's pairings with {Z_a} and {conj(Z_a)}.
+    """
     fc = form.frame_comps(m, x)
     n = m.n
     g_unb = np.einsum("...ba,...b->...a", e, fc[..., :n])
     g_bar = np.einsum("...ba,...b->...a", np.conj(e), fc[..., n:])
+    return g_unb, g_bar
+
+
+def _paired_integrand(pairing, db) -> np.ndarray:
+    """sum_A Xi(projected L_A) dB^A from a frame pairing (complex)."""
+    g_unb, g_bar = pairing
     return np.einsum("...a,...a->...", g_unb, db) + np.einsum(
         "...a,...a->...", g_bar, np.conj(db)
     )
@@ -325,24 +342,37 @@ def line_integral(m: ModelDescriptor, path: Path, form: OneForm) -> float:
     s_count = path.increments.shape[0]
     if s_count == 0:
         return 0.0
-    x, e, db = path.x, path.e, path.increments
-    pre = _paired_integrand(m, form, x[:-1], e[:-1], db)
-    post = _paired_integrand(m, form, x[1:], e[1:], db)
+    g_unb, g_bar = _frame_pairing(m, form, path.x, path.e)
+    db = path.increments
+    pre = _paired_integrand((g_unb[:-1], g_bar[:-1]), db)
+    post = _paired_integrand((g_unb[1:], g_bar[1:]), db)
     return float(np.real(0.5 * (pre + post).sum()))
 
 
 class LineIntegralObserver:
-    """Streaming per-path Stratonovich accumulator for ensemble runs."""
+    """Streaming per-path Stratonovich accumulator for ensemble runs.
+
+    Calls must come in step order from one batch's stepping loop.  The
+    frame pairing at the post-step state is kept as the next step's
+    pre-step pairing (rows outside the mask did not advance and keep their
+    old one), so each step evaluates the frame and the form once.
+    """
 
     def __init__(self, m: ModelDescriptor, form: OneForm, n_slots: int):
         self.m = m
         self.form = form
         self._acc = np.zeros(n_slots, dtype=complex)
+        self._pre = None
 
     def __call__(self, _k, x0, e0, x1, e1, db, mask) -> None:
-        pre = _paired_integrand(self.m, self.form, x0, e0, db)
-        post = _paired_integrand(self.m, self.form, x1, e1, db)
-        self._acc[mask] += 0.5 * (pre + post)[mask]
+        pre = self._pre
+        if pre is None:
+            pre = _frame_pairing(self.m, self.form, x0, e0)
+        post = _frame_pairing(self.m, self.form, x1, e1)
+        val = _paired_integrand(pre, db) + _paired_integrand(post, db)
+        self._acc[mask] += 0.5 * val[mask]
+        keep = mask[:, None]
+        self._pre = tuple(np.where(keep, b, a) for a, b in zip(pre, post))
 
     @property
     def values(self) -> np.ndarray:

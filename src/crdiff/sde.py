@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frame_bundle import FrameState, velocity_arrays
+from .frame_bundle import SINGULAR_RTOL, UNITARITY_TOL, FrameState, velocity_arrays
 from .models import ModelDescriptor
 
 __all__ = [
@@ -202,16 +202,36 @@ def driving_increments(cfg: SimConfig, n_paths: int, n: int) -> np.ndarray:
 
 
 def _polar_batch(e: np.ndarray) -> np.ndarray:
-    # unitary polar factor; cheap closed form for n = 1
+    """Unitary polar factor of each frame of a batch (closed form for n = 1).
+
+    A singular or non-finite frame has no polar factor: its row comes back
+    NaN, without a warning, so the stepping loops retire it as nonfinite.
+    """
     if e.shape[-1] == 1:
-        return e / np.abs(e)
-    u, _s, vh = np.linalg.svd(e)
-    return u @ vh
+        a = np.abs(e)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(a > 0, e / a, np.nan)
+    finite = np.isfinite(e).all(axis=(-2, -1))
+    if not finite.all():
+        out = np.full(e.shape, np.nan, dtype=complex)
+        out[finite] = _polar_batch(e[finite])
+        return out
+    u, s, vh = np.linalg.svd(e)
+    out = u @ vh
+    out[s[..., -1] <= SINGULAR_RTOL * s[..., 0]] = np.nan
+    return out
 
 
 def _heun(m: ModelDescriptor, x, e, db, reunitarize: bool):
-    """Heun predictor-corrector step of a batch; rows are independent."""
+    """Heun predictor-corrector step of a batch; rows are independent.
+
+    On a flat connection parallel transport is the identity: the frame is
+    returned as it came (the same array) and no polar factor is taken.
+    """
     dx1, de1 = velocity_arrays(m, x, e, db)
+    if m.flat_connection:
+        dx2, _ = velocity_arrays(m, x + dx1, e, db)
+        return x + 0.5 * (dx1 + dx2), e
     dx2, de2 = velocity_arrays(m, x + dx1, e + de1, db)
     x_new = x + 0.5 * (dx1 + dx2)
     e_new = e + 0.5 * (de1 + de2)
@@ -225,11 +245,21 @@ def step(m: ModelDescriptor, s: FrameState, db: np.ndarray, dt: float,
     """One Heun predictor-corrector step of the bundle SDE.
 
     The scheme is driven entirely by the increment (the equation has no
-    drift term); dt is accepted for interface symmetry and ignored.
+    drift term); dt is accepted for interface symmetry and ignored.  On a
+    model with a flat connection the new state holds a copy of the frame.
     """
     del dt
     db = np.asarray(db, dtype=complex)
-    return FrameState(*_heun(m, s.x, s.e, db, reunitarize))
+    x, e = _heun(m, s.x, s.e, db, reunitarize)
+    return FrameState(x, e.copy() if e is s.e else e)
+
+
+def _require_unitary(s0: FrameState) -> None:
+    # a flat connection never projects the frame, so a start frame off
+    # U(n) would skew the law for the whole run
+    defect = s0.unitarity_defect()
+    if not defect <= UNITARITY_TOL:
+        raise ValueError(f"start frame is not unitary (defect {defect:.3e})")
 
 
 def _map_blocks(run, n_paths: int, n_workers: int) -> list:
@@ -346,6 +376,7 @@ def simulate_path(
 ) -> Path:
     """Integrate a single trajectory; equals path 0 of the seeded ensemble."""
     m.require_inside(s0.x)
+    _require_unitary(s0)
     if cfg.n_steps == 0:
         return Path(np.array([0.0]), s0.x[None].astype(float),
                     s0.e[None].astype(complex), "completed", cfg.record_stride,
@@ -404,6 +435,7 @@ def simulate_ensemble(
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     m.require_inside(s0.x)
+    _require_unitary(s0)
     factories = observer_factories or {}
     obs_names = list(factories)
 
@@ -443,6 +475,7 @@ def simulate_with_increments(
     increments = np.asarray(increments, dtype=complex)
     if increments.ndim != 3 or increments.shape[1] != cfg.n_steps:
         raise ValueError("increments must have shape (n_paths, n_steps, n)")
+    _require_unitary(s0)
     p_count = increments.shape[0]
     x0 = np.repeat(s0.x[None].astype(float), p_count, axis=0)
     e0 = np.repeat(s0.e[None].astype(complex), p_count, axis=0)

@@ -1,5 +1,7 @@
 """Horizontal velocities, parallel transport, frame reunitarization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from crdiff import (
     parallel_transport,
     reunitarize,
 )
-from crdiff.frame_bundle import frame_coefficients
+from crdiff.frame_bundle import frame_coefficients, velocity_arrays
 
 
 def test_velocity_at_origin(heis1):
@@ -18,6 +20,31 @@ def test_velocity_at_origin(heis1):
     v = horizontal_velocity(heis1, s, np.array([1.0]))
     np.testing.assert_allclose(v.dx, [1.0, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(v.de, 0.0, atol=1e-15)
+
+
+def test_flat_velocity_skips_christoffel(heis2):
+    """On a flat model de is zero without evaluating the Christoffel
+    symbols, and both parts agree with the general contraction."""
+    calls = []
+
+    def christoffel(x):
+        calls.append(np.shape(x))
+        return heis2.christoffel(x)
+
+    flat = dataclasses.replace(heis2, christoffel=christoffel)
+    general = dataclasses.replace(flat, flat_connection=False)
+    calls.clear()
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(4, 5))
+    e = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    xi = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    dx, de = velocity_arrays(flat, x, e, xi)
+    assert calls == []
+    dx_ref, de_ref = velocity_arrays(general, x, e, xi)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(dx, dx_ref)
+    np.testing.assert_array_equal(de, de_ref)
+    assert de.shape == (4, 2, 2) and de.dtype == complex
 
 
 def test_velocity_at_z_equals_i(heis1):

@@ -1,10 +1,13 @@
 """Byte-level regression pins for the exit sampler and the stepping kernel.
 
-Every digest and value below was taken before the exit main loop was
+The exit and ensemble digests were taken before the exit main loop was
 rewritten to step only live paths and to resume from saved generator
-state.  Per-row arithmetic is unchanged by that rewrite, so these pins
-must hold exactly; a change that moves them changes the arithmetic and
-has to re-pin them on purpose.
+state; the line-integral digests were taken before the flat-connection
+fast path (no transport update and no polar factor on a model whose
+connection vanishes) and the reuse of the observer's post-step pairing.
+Per-row arithmetic is unchanged by either change, so these pins must
+hold exactly; a change that moves them changes the arithmetic and has to
+re-pin them on purpose.
 """
 
 import hashlib
@@ -56,6 +59,27 @@ def test_cli_dirichlet_records_golden(tmp_path):
     assert _file_sha(rec) == (
         "d776292579c52fa71525b9901fa278ce861175918e108b7e3f33b7ca9b98f4f0"
     )
+
+
+# 4097 paths make a second, one-path block
+LINE_INTEGRAL_GOLDEN = {
+    "heisenberg --n 2":
+        "92086de7fbe7edc9b2dffdd1fac2511196dd26ee968db9ff7dc01257003467ba",
+    "heisenberg_phase --n 1":
+        "1127433abbc9c853277dbf21b77a3478fd67d756fcbc9faba3f8ca7cecd13c73",
+}
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("model", sorted(LINE_INTEGRAL_GOLDEN))
+def test_cli_line_integral_golden(tmp_path, model, n_workers):
+    out = tmp_path / "li.csv"
+    argv = (
+        f"line-integral --model {model} --form du1 --paths {BLOCK + 1} "
+        f"--steps 20 --workers {n_workers} --output {out}"
+    ).split()
+    assert main(argv) == 0
+    assert _file_sha(out) == LINE_INTEGRAL_GOLDEN[model]
 
 
 # one path from just inside the equator; each of these seeds has a coarse
@@ -169,7 +193,7 @@ def seed_rule_reference(heis1):
     return starts, batch
 
 
-@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("n_workers", [1, 2, 8])
 @pytest.mark.parametrize("n_paths", [BLOCK - 1, BLOCK, BLOCK + 1])
 def test_exit_seed_rule_block_edges(heis1, seed_rule_reference, n_paths, n_workers):
     starts, ref = seed_rule_reference

@@ -1,5 +1,7 @@
 """Model data contract: frames, contact form, Christoffel symbols, validator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,23 @@ def test_volume_density_positive_constant(heis1, heis2):
         dens = m.volume_density(RNG.normal(size=(4, m.dim)))
         assert np.all(dens > 0)
         assert np.ptp(dens) == 0.0
+
+
+# --- flat connection ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flat_connection_declared(n):
+    assert heisenberg_model(n).flat_connection
+    assert not phase_rotated_heisenberg(n, 0.9).flat_connection
+
+
+def test_flat_connection_survives_replace(heis2):
+    assert dataclasses.replace(heis2, name="copy").flat_connection
+
+
+def test_flat_declaration_with_curved_christoffel_rejected(heis1, gauge1):
+    with pytest.raises(ValueError, match="flat connection"):
+        dataclasses.replace(heis1, christoffel=gauge1.christoffel)
+    with pytest.raises(ValueError, match="flat connection"):
+        dataclasses.replace(gauge1, flat_connection=True)

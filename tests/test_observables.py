@@ -251,6 +251,23 @@ def test_density_memory_bound(heis1):
     assert peak < 24e6
 
 
+def test_density_memory_bound_n2(heis2):
+    """200 samples on a 21^5 grid: the volume density is evaluated in node
+    chunks, so the peak is the two returned 32.7 MB grids and little more
+    (a full node array would add 163 MB)."""
+    cfg = SimConfig(t_horizon=0.5, n_steps=10, seed=205)
+    ens = simulate_ensemble(heis2, FrameState(np.zeros(5), np.eye(2)), cfg, 200)
+    window = np.array([[-2.0, 2.0]] * 5)
+    tracemalloc.start()
+    try:
+        est = estimate_density(ens, heis2, window, grid_points=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.values.shape == (21,) * 5
+    assert peak < 100e6
+
+
 def test_density_needs_samples(heis1):
     cfg = SimConfig(t_horizon=0.5, n_steps=50, seed=5)
     ens = simulate_ensemble(heis1, ORIGIN1, cfg, 50)

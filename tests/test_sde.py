@@ -1,11 +1,15 @@
 """Integrator contracts: increments, exactness, invariances, reproducibility."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from crdiff import (
     FrameState,
     SimConfig,
+    phase_rotated_heisenberg,
     sample_increment,
     semigroup_average,
     simulate_ensemble,
@@ -16,6 +20,8 @@ from crdiff.sde import (
     BLOCK,
     STATUS_NAMES,
     STATUS_NONFINITE,
+    _heun,
+    _run_block,
     driving_increments,
     simulate_with_increments,
 )
@@ -102,6 +108,86 @@ def test_step_rotation_equivariance(gauge1):
     rotated = step(gauge1, FrameState(s.x, s.e @ q), np.conj(q.T) @ db, 0.01)
     np.testing.assert_allclose(rotated.x, plain.x, atol=1e-12)
     np.testing.assert_allclose(rotated.e, plain.e @ q, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_singular_frames_turn_nan(n):
+    """Singular and non-finite frames have no polar factor: their rows come
+    back NaN, silently, and the other rows are bitwise those of a batch
+    without them."""
+    m = phase_rotated_heisenberg(n, 0.9)
+    rng = np.random.default_rng(40 + n)
+    x = rng.uniform(-0.5, 0.5, size=(5, 2 * n + 1))
+    e = np.broadcast_to(np.eye(n, dtype=complex), (5, n, n)).copy()
+    db = (rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))) * 0.05
+    e[1] = 0.0
+    e[3] = np.nan
+    if n > 1:
+        e[4] = np.diag([1.0, 0.0])            # rank deficient
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = [step(m, FrameState(x[i], e[i]), db[i], 0.01) for i in range(5)]
+        _x, e_batch = _heun(m, x, e, db, True)
+    bad = [1, 3, 4] if n > 1 else [1, 3]
+    for i in range(5):
+        if i in bad:
+            assert np.isnan(out[i].e).all()
+            assert np.isnan(e_batch[i]).all()
+        else:
+            assert np.isfinite(e_batch[i]).all()
+    good = [i for i in range(5) if i not in bad]
+    _x, e_good = _heun(m, x[good], e[good], db[good], True)
+    np.testing.assert_array_equal(e_batch[good], e_good)
+    for j, i in enumerate(good):
+        np.testing.assert_array_equal(out[i].e, e_good[j])
+
+
+def test_singular_frame_rows_retired_nonfinite():
+    """The stepping loop retires a row whose frame is singular as nonfinite,
+    at its start state, and leaves the other rows as they would be alone."""
+    m = phase_rotated_heisenberg(2, 0.9)
+    cfg = SimConfig(t_horizon=0.5, n_steps=10, seed=44)
+    inc = driving_increments(cfg, 3, 2)
+    x0 = np.zeros((3, 5))
+    e0 = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy()
+    e0[1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, e, status, steps, _rec, _inc = _run_block(
+            m, x0, e0, cfg, lambda k: inc[:, k])
+    assert [STATUS_NAMES[s] for s in status] == ["completed", "nonfinite", "completed"]
+    assert steps[1] == 0 and (e[1] == 0).all()
+    ref = simulate_with_increments(m, FrameState(np.zeros(5), np.eye(2)), cfg, inc)
+    np.testing.assert_array_equal(x[[0, 2]], ref.x[[0, 2]])
+    np.testing.assert_array_equal(e[[0, 2]], ref.e[[0, 2]])
+
+
+@pytest.mark.parametrize("frame", [np.zeros((2, 2)), 1.001 * np.eye(2),
+                                   np.full((2, 2), np.nan)])
+def test_nonunitary_start_frame_rejected(heis2, frame):
+    s0 = FrameState(np.zeros(5), frame)
+    cfg = SimConfig(t_horizon=0.1, n_steps=5, seed=45)
+    with pytest.raises(ValueError, match="not unitary"):
+        simulate_path(heis2, s0, cfg)
+    with pytest.raises(ValueError, match="not unitary"):
+        simulate_ensemble(heis2, s0, cfg, 10)
+    with pytest.raises(ValueError, match="not unitary"):
+        simulate_with_increments(heis2, s0, cfg, driving_increments(cfg, 10, 2))
+
+
+def test_flat_step_carries_frame(heis2):
+    """On the flat model a step moves the base point only: the frame comes
+    back as the same array, also when reunitarization is due."""
+    rng = np.random.default_rng(46)
+    x = rng.normal(size=(6, 5))
+    e = np.broadcast_to(np.eye(2, dtype=complex), (6, 2, 2)).copy()
+    db = (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))) * 0.05
+    x_new, e_new = _heun(heis2, x, e, db, True)
+    assert e_new is e
+    general = dataclasses.replace(heis2, flat_connection=False)
+    x_ref, e_ref = _heun(general, x, e, db, True)
+    np.testing.assert_array_equal(x_new, x_ref)
+    np.testing.assert_array_equal(e_new, e_ref)
 
 
 # --- paths -------------------------------------------------------------------
