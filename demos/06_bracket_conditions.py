@@ -16,8 +16,9 @@ m = heisenberg_model(1)
 rng = np.random.default_rng(61)
 
 print("rank of the real span at random points:")
+points = rng.normal(size=(30, 3))
 for order in (1, 2):
-    ranks = sorted({span_rank(m, x, order).rank for x in rng.normal(size=(30, 3))})
+    ranks = np.unique(span_rank(m, points, order).rank).tolist()
     print(f"  fields and brackets up to order {order}: ranks {ranks} (chart dimension 3)")
 
 table = span_rank(m, np.zeros(3), 2)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .models import ModelDescriptor
+from .models import FD_STEP, ModelDescriptor, central_difference, fd_quotient, fd_stencil
 from .observables import OneForm
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "index_label",
 ]
 
-FD_STEP = 1e-5
 RANK_EPS = 1e-8
 PHI_THRESHOLD = 1e-8
 
@@ -47,7 +46,13 @@ def directional_derivative(
     f: Callable[[np.ndarray], complex], x: np.ndarray, direction: np.ndarray,
     h: float = FD_STEP,
 ) -> complex:
-    """Central-difference derivative of a scalar along a complex vector."""
+    """Central-difference derivative of a scalar along a complex vector.
+
+    The scalar oracle of the package, kept as a loop over coordinates
+    rather than one stacked call: f need not broadcast (phi_functional
+    differentiates its own per-point recursion through it), and
+    coordinates where the direction vanishes are never evaluated.
+    """
     x = np.asarray(x, dtype=float)
     total = 0.0 + 0.0j
     for j in range(x.shape[-1]):
@@ -75,14 +80,7 @@ class VectorField:
         """d_j W^k as [..., k, j]; finite differences unless analytic."""
         if self.jac is not None:
             return np.asarray(self.jac(x), dtype=complex)
-        x = np.asarray(x, dtype=float)
-        dim = x.shape[-1]
-        cols = []
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = h
-            cols.append((self.at(x + e) - self.at(x - e)) / (2.0 * h))
-        return np.stack(cols, axis=-1)
+        return central_difference(self.at, x, h)
 
     def apply(self, f: Callable[[np.ndarray], complex], x: np.ndarray,
               h: float = FD_STEP) -> complex:
@@ -91,13 +89,17 @@ class VectorField:
 
     def bracket(self, other: "VectorField") -> "VectorField":
         def comps(x: np.ndarray) -> np.ndarray:
-            jw = other.jacobian(x)
-            jv = self.jacobian(x)
-            return np.einsum("...kj,...j->...k", jw, self.at(x)) - np.einsum(
-                "...kj,...j->...k", jv, other.at(x)
+            return _bracket_value(
+                self.at(x), self.jacobian(x), other.at(x), other.jacobian(x)
             )
 
         return VectorField(comps=comps, name=f"[{self.name},{other.name}]")
+
+
+def _bracket_value(w: np.ndarray, jw: np.ndarray, v: np.ndarray,
+                   jv: np.ndarray) -> np.ndarray:
+    """[W, V] = (dV) W - (dW) V from values and jacobians at the same points."""
+    return np.einsum("...kj,...j->...k", jv, w) - np.einsum("...kj,...j->...k", jw, v)
 
 
 def frame_vector_field(m: ModelDescriptor, a: int) -> VectorField:
@@ -126,47 +128,99 @@ def lie_bracket(m: ModelDescriptor, a: int, b: int, x: np.ndarray) -> np.ndarray
 
 @dataclass
 class BracketTable:
-    """Fields and iterated brackets at a point with their real span."""
+    """Fields and iterated brackets at a point, or a batch, with their real span."""
 
     x: np.ndarray
     tags: list[tuple[int, ...]]
-    vectors: np.ndarray          # (count, D) complex
-    singular_values: np.ndarray  # descending
-    rank: int
+    vectors: np.ndarray          # (count, D) complex, (P, count, D) for a batch
+    singular_values: np.ndarray  # descending along the last axis
+    rank: int | np.ndarray       # (P,) integer array for a batch
     rank_eps: float
 
-    def full(self, dim: int) -> bool:
+    def full(self, dim: int) -> bool | np.ndarray:
+        """Whether the span is the whole tangent space, per point for a batch."""
         return self.rank == dim
 
 
-def _bracket_generations(m: ModelDescriptor, max_order: int):
-    """Tagged vector fields: frame fields, then nested brackets by order."""
-    alphabet = list(range(1, m.n + 1)) + list(range(-1, -m.n - 1, -1))
-    fields = {(a,): frame_vector_field(m, a) for a in range(1, m.n + 1)}
-    yield from fields.items()
-    if max_order < 2:
-        return
-    # second order: one bracket per unordered pair, conjugate pairs skipped
-    level = {}
-    for i, a in enumerate(alphabet):
-        for b in alphabet[i + 1 :]:
-            conj_tag = tuple(sorted((-a, -b), key=alphabet.index))
-            if conj_tag in level:
-                continue
-            level[(a, b)] = frame_vector_field(m, a).bracket(frame_vector_field(m, b))
-    yield from level.items()
+def _alphabet(n: int) -> list[int]:
+    """Signed frame indices [1..n, 1*..n*] in scan order."""
+    return list(range(1, n + 1)) + list(range(-1, -n - 1, -1))
+
+
+def _bracket_tags(n: int, max_order: int) -> list[list[tuple[int, ...]]]:
+    """Tags of the frame fields and nested brackets, one list per order.
+
+    Order 1 holds Z_1..Z_n; order 2 one bracket per unordered pair of the
+    alphabet [1..n, 1*..n*], conjugate pairs skipped; order r + 1 brackets
+    every letter with every tag of order r, tag-major.
+    """
+    alphabet = _alphabet(n)
+    orders = [[(a,) for a in range(1, n + 1)]]
+    if max_order >= 2:
+        pairs = []
+        for i, a in enumerate(alphabet):
+            for b in alphabet[i + 1 :]:
+                if tuple(sorted((-a, -b), key=alphabet.index)) not in pairs:
+                    pairs.append((a, b))
+        orders.append(pairs)
     for _order in range(3, max_order + 1):
-        nxt = {}
-        for tag, fld in level.items():
-            for a in alphabet:
-                nxt[(a,) + tag] = frame_vector_field(m, a).bracket(fld)
-        yield from nxt.items()
-        level = nxt
+        orders.append([(a,) + tag for tag in orders[-1] for a in alphabet])
+    return orders
+
+
+def _bracket_values(m: ModelDescriptor, x: np.ndarray, max_order: int,
+                    h: float = FD_STEP) -> tuple[list, np.ndarray]:
+    """Tags and values (..., count, D) of every field and bracket at x.
+
+    Generations are evaluated in order, each once over the whole batch.
+    A bracket of order r + 1 needs the finite-difference jacobian of its
+    order-r tail, so order r is evaluated on x and on its nested stencils
+    up to depth max_order - r: P (2D)^(max_order - 2) points for order 2.
+    Each tail's jacobian is computed once and shared by every head letter.
+    """
+    alphabet = _alphabet(m.n)
+    points = [np.asarray(x, dtype=float)]
+    for _depth in range(max_order - 2):
+        points.append(fd_stencil(points[-1], h))
+    frame = {a: frame_vector_field(m, a) for a in alphabet}
+    head = {a: [f.at(y) for y in points] for a, f in frame.items()}
+    head_jac = {a: [f.jacobian(y, h) for y in points] for a, f in frame.items()}
+
+    orders = _bracket_tags(m.n, max_order)
+    # vals[tag][d], jacs[tag][d]: the current order on the depth-d points
+    vals = {(a,): head[a] for a in alphabet}
+    jacs = {(a,): head_jac[a] for a in alphabet}
+    vectors = [vals[tag][0] for tag in orders[0]]
+    for depths, tags in zip(range(len(points), 0, -1), orders[1:]):
+        vals = {
+            tag: [
+                _bracket_value(head[tag[0]][d], head_jac[tag[0]][d],
+                               vals[tag[1:]][d], jacs[tag[1:]][d])
+                for d in range(depths)
+            ]
+            for tag in tags
+        }
+        jacs = {
+            tag: [fd_quotient(v, v.ndim - 2, h) for v in vs[1:]]
+            for tag, vs in vals.items()
+        }
+        vectors += [vs[0] for vs in vals.values()]
+    return [tag for order in orders for tag in order], np.stack(vectors, axis=-2)
 
 
 def span_rank(m: ModelDescriptor, x: np.ndarray, max_order: int,
               rank_eps: float = RANK_EPS) -> BracketTable:
     """Real span of Re/Im frame fields and brackets up to max_order.
+
+    x is one point (D,) or a batch (P, D).  Every bracket generation is
+    evaluated once over the batch and the singular values come from one
+    batched SVD; per point the arithmetic is that of a single-point call,
+    so a batch row equals the call on that row bitwise.  For a batch,
+    vectors is (P, count, D), singular_values (P, k) and rank a (P,)
+    integer array; for one point, (count, D), (k,) and an int.  The
+    finite-difference jacobians behind orders >= 3 evaluate the order-2
+    brackets on P (2D)^(max_order - 2) stencil points, so memory grows by
+    a factor 2D with each order above 2.
 
     Rank counts singular values above rank_eps times the largest one, a
     threshold separating genuine degeneracy from finite-difference noise.
@@ -174,17 +228,15 @@ def span_rank(m: ModelDescriptor, x: np.ndarray, max_order: int,
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     x = np.asarray(x, dtype=float)
-    tags, vecs = [], []
-    for tag, fld in _bracket_generations(m, max_order):
-        tags.append(tag)
-        vecs.append(fld.at(x))
-    vectors = np.stack(vecs, axis=0)
-    real_cols = np.concatenate([vectors.real, vectors.imag], axis=0).T
+    tags, vectors = _bracket_values(m, x, max_order)
+    real_cols = np.swapaxes(
+        np.concatenate([vectors.real, vectors.imag], axis=-2), -1, -2
+    )
     sv = np.linalg.svd(real_cols, compute_uv=False)
-    rank = int(np.sum(sv > rank_eps * sv[0])) if sv.size and sv[0] > 0 else 0
+    rank = np.count_nonzero(sv > rank_eps * sv[..., :1], axis=-1)
     return BracketTable(
-        x=x, tags=tags, vectors=vectors,
-        singular_values=sv, rank=rank, rank_eps=rank_eps,
+        x=x, tags=tags, vectors=vectors, singular_values=sv,
+        rank=int(rank) if x.ndim == 1 else rank, rank_eps=rank_eps,
     )
 
 
@@ -271,7 +323,7 @@ def smoothness_condition(
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    alphabet = list(range(1, m.n + 1)) + list(range(-1, -m.n - 1, -1))
+    alphabet = _alphabet(m.n)
     stack = [(a,) for a in alphabet]
     for _order in range(1, max_order + 1):
         for idx in stack:

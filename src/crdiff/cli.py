@@ -441,12 +441,12 @@ def _cmd_check_hormander(cfg: RunConfig) -> int:
     p = cfg.params
     m = _model(p)
     pts = _probe_points(p, m.dim)
-    rows = []
-    for pt in pts:
-        table = span_rank(m, pt, p["max_order"])
-        sv = list(table.singular_values[: m.dim])
-        sv += [0.0] * (m.dim - len(sv))
-        rows.append(list(pt) + [table.rank] + sv)
+    table = span_rank(m, pts, p["max_order"])
+    pad = [0.0] * (m.dim - table.singular_values.shape[-1])
+    rows = [
+        list(pt) + [int(rank)] + list(sv[: m.dim]) + pad
+        for pt, rank, sv in zip(pts, table.rank, table.singular_values)
+    ]
     cols = _coord_names(m.n) + ["rank"] + [f"sv{i+1}" for i in range(m.dim)]
     out = _output_path(p, cfg.command)
     _write_csv(out, cfg, cols, rows, extra_comments=[f"max_order {p['max_order']}"])

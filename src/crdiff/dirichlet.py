@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .models import ModelDescriptor
+from .models import ModelDescriptor, central_difference
 from .sde import BLOCK, SimConfig, _block_rng, _heun, _map_blocks
 
 # Not called here (the Heun kernel is sde._heun), but kept as names of this
@@ -74,12 +74,7 @@ class Domain:
         x = np.asarray(x, dtype=float)
         if self.grad_phi is not None:
             return np.asarray(self.grad_phi(x), dtype=float)
-        cols = []
-        for j in range(x.shape[-1]):
-            e = np.zeros(x.shape[-1])
-            e[j] = GRAD_STEP
-            cols.append((self.phi_at(x + e) - self.phi_at(x - e)) / (2 * GRAD_STEP))
-        return np.stack(cols, axis=-1)
+        return central_difference(self.phi_at, x, GRAD_STEP)
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         return self.phi_at(x) < 0

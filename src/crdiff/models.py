@@ -30,9 +30,41 @@ __all__ = [
     "phase_rotated_heisenberg",
     "validate_model",
     "conjugate_index",
+    "central_difference",
 ]
 
-FD_STEP = 1e-5  # central-difference step for exterior derivatives
+FD_STEP = 1e-5  # central-difference step for exterior derivatives and brackets
+
+
+def fd_stencil(x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+    """Central-difference stencil of x, shape (..., D) -> (..., 2D, D).
+
+    Row j holds x + h e_j and row D + j holds x - h e_j.
+    """
+    x = np.asarray(x, dtype=float)
+    step = h * np.eye(x.shape[-1])
+    return np.concatenate([x[..., None, :] + step, x[..., None, :] - step], axis=-2)
+
+
+def fd_quotient(values: np.ndarray, axis: int, h: float = FD_STEP) -> np.ndarray:
+    """Central differences from values on a stencil laid out along ``axis``.
+
+    The derivative index moves to the last axis.
+    """
+    forward, backward = np.split(values, 2, axis=axis)
+    return np.moveaxis((forward - backward) / (2.0 * h), axis, -1)
+
+
+def central_difference(
+    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = FD_STEP
+) -> np.ndarray:
+    """d_j f(x) by central differences, shape (..., *out, D).
+
+    f maps (..., D) to (..., *out) and must broadcast over leading axes:
+    it is called once, on the stacked stencil of every point of x.
+    """
+    x = np.asarray(x, dtype=float)
+    return fd_quotient(f(fd_stencil(x, h)), x.ndim - 1, h)
 
 
 class ChartBoundsError(ValueError):
@@ -374,14 +406,7 @@ class ValidationReport:
 
 def theta_jacobian_fd(m: ModelDescriptor, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """d_j theta_k by central differences, shape (..., k, j)."""
-    x = np.asarray(x, dtype=float)
-    dim = x.shape[-1]
-    cols = []
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = h
-        cols.append((m.theta(x + e) - m.theta(x - e)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    return central_difference(m.theta, x, h)
 
 
 def dtheta_pair(m: ModelDescriptor, x: np.ndarray, vec_a: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
@@ -391,18 +416,25 @@ def dtheta_pair(m: ModelDescriptor, x: np.ndarray, vec_a: np.ndarray, vec_b: np.
     - theta([X, Y])) / 2, which in coordinates reads
     sum_{j,k} (d_j theta_k - d_k theta_j) X^j Y^k / 2.
     """
-    jac = theta_jacobian_fd(m, x)
-    anti = jac - np.swapaxes(jac, -1, -2)         # [k, j] - [j, k]
+    anti = _theta_antisym(m, x)                   # [k, j] - [j, k]
     return 0.5 * np.einsum("...j,...kj,...k->...", vec_a, anti, vec_b)
+
+
+def _theta_antisym(m: ModelDescriptor, x: np.ndarray) -> np.ndarray:
+    """d_j theta_k - d_k theta_j, shape (..., k, j)."""
+    jac = theta_jacobian_fd(m, x)
+    return jac - np.swapaxes(jac, -1, -2)
+
+
+def _levi_contraction(z: np.ndarray, anti: np.ndarray) -> np.ndarray:
+    """-i dtheta(Z_a, conj(Z_b)) from the frame and the antisymmetrised jacobian."""
+    pair = 0.5 * np.einsum("...ja,...kj,...kb->...ab", z, anti, np.conj(z))
+    return -1j * pair
 
 
 def levi_gram(m: ModelDescriptor, x: np.ndarray) -> np.ndarray:
     """Levi form matrix -i dtheta(Z_a, conj(Z_b)), shape (..., n, n)."""
-    z = m.frame(x)
-    jac = theta_jacobian_fd(m, x)
-    anti = jac - np.swapaxes(jac, -1, -2)
-    pair = 0.5 * np.einsum("...ja,...kj,...kb->...ab", z, anti, np.conj(z))
-    return -1j * pair
+    return _levi_contraction(m.frame(x), _theta_antisym(m, x))
 
 
 def validate_model(
@@ -437,11 +469,10 @@ def validate_model(
         np.abs(gam + np.conj(np.swapaxes(gam[:, perm, :, :], -1, -2))).max()
     )
 
-    jac = theta_jacobian_fd(m, points)
-    anti = jac - np.swapaxes(jac, -1, -2)
+    anti = _theta_antisym(m, points)
     r_dth = float(np.abs(0.5 * np.einsum("pj,pkj->pk", t_vec, anti)).max())
 
-    gram = levi_gram(m, points)
+    gram = _levi_contraction(z, anti)
     herm = float(np.abs(gram - np.conj(np.swapaxes(gram, -1, -2))).max())
     eigs = np.linalg.eigvalsh(0.5 * (gram + np.conj(np.swapaxes(gram, -1, -2))))
     min_eig = float(eigs.min())

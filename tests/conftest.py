@@ -2,8 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from crdiff import heisenberg_model, phase_rotated_heisenberg
+
+# no per-example deadline (wall-clock limits flake on a loaded or throttled
+# CPU) and a fixed example sequence, so property tests repeat exactly
+settings.register_profile("crdiff", deadline=None, derandomize=True)
+settings.load_profile("crdiff")
 
 
 @pytest.fixture(scope="session")

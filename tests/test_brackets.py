@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crdiff import (
     apply_generator,
     form_du,
     form_dt,
+    heisenberg_model,
     lie_bracket,
+    phase_rotated_heisenberg,
     phi_functional,
     smoothness_condition,
     span_rank,
     theta_form,
 )
-from crdiff.brackets import VectorField, frame_vector_field, index_label
+from crdiff.brackets import VectorField, _nested_bracket, frame_vector_field, index_label
 from crdiff.models import ModelDescriptor
 from crdiff.observables import OneForm
 
@@ -137,6 +142,38 @@ def test_bracket_table_contents(heis1):
     assert table.singular_values.shape[0] >= table.rank
     assert np.all(np.diff(table.singular_values) <= 0)
     assert index_label(-1) == "1*"
+
+
+BATCH_MODELS = {
+    "heis1": heisenberg_model(1),
+    "heis2": heisenberg_model(2),
+    "gauge1": phase_rotated_heisenberg(1, 0.9),
+    "gauge2": phase_rotated_heisenberg(2, 0.9),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_batched_span_rank_matches_per_point(name, order, data):
+    """A batch row equals the single-point call and the nested closure
+    fields bitwise: generations shared over the batch change no arithmetic."""
+    m = BATCH_MODELS[name]
+    n_points = data.draw(st.integers(1, 5), label="points")
+    pts = data.draw(arrays(np.float64, (n_points, m.dim),
+                           elements=st.floats(-1.5, 1.5)), label="x")
+    batch = span_rank(m, pts, order)
+    assert batch.rank.shape == (n_points,)
+    for p, x in enumerate(pts):
+        single = span_rank(m, x, order)
+        assert single.tags == batch.tags
+        assert isinstance(single.rank, int) and single.rank == batch.rank[p]
+        assert single.singular_values.ndim == 1
+        assert single.singular_values.tobytes() == batch.singular_values[p].tobytes()
+        assert single.vectors.tobytes() == batch.vectors[p].tobytes()
+        for tag, vec in zip(batch.tags, batch.vectors[p]):
+            assert _nested_bracket(m, tag).at(x).tobytes() == vec.tobytes()
 
 
 def test_rank_requires_positive_order(heis1):

@@ -1,10 +1,12 @@
 """Command-line interface: config resolution, outputs, determinism."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
+import crdiff.cli as cli
 from crdiff.cli import ConfigError, main, parse_config, run
 
 
@@ -148,6 +150,31 @@ def test_check_hormander_command(tmp_path):
     rows = [l for l in _read(out).decode().splitlines() if not l.startswith("#")]
     ranks = {int(r.split(",")[3]) for r in rows[1:]}
     assert ranks == {3}
+
+
+def test_check_hormander_jacobian_calls_independent_of_points(tmp_path, monkeypatch):
+    """Bracket generations are evaluated once over all probe points."""
+    calls = []
+    build = cli.phase_rotated_heisenberg
+
+    def counted_model(*args, **kwargs):
+        m = build(*args, **kwargs)
+
+        def frame_jacobian(x):
+            calls.append(np.shape(x))
+            return m.frame_jacobian(x)
+
+        return dataclasses.replace(m, frame_jacobian=frame_jacobian)
+
+    monkeypatch.setattr(cli, "phase_rotated_heisenberg", counted_model)
+    counts = []
+    for points in (5, 20):
+        calls.clear()
+        args = (f"check-hormander --model heisenberg_phase --n 2 --max-order 3 "
+                f"--points {points} --output {tmp_path / 'rank.csv'}").split()
+        assert main(args) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_check_smoothness_command(capsys):

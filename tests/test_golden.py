@@ -4,9 +4,11 @@ The exit and ensemble digests were taken before the exit main loop was
 rewritten to step only live paths and to resume from saved generator
 state; the line-integral digests were taken before the flat-connection
 fast path (no transport update and no polar factor on a model whose
-connection vanishes) and the reuse of the observer's post-step pairing.
-Per-row arithmetic is unchanged by either change, so these pins must
-hold exactly; a change that moves them changes the arithmetic and has to
+connection vanishes) and the reuse of the observer's post-step pairing;
+the diagnostics digests were taken before bracket generations were
+evaluated once over a batch of probe points and before the finite
+differences moved onto one stacked stencil.  Per-row arithmetic is
+unchanged by these changes, so the pins must hold exactly; a change that moves them changes the arithmetic and has to
 re-pin them on purpose.
 """
 
@@ -163,6 +165,33 @@ def test_single_path_golden_n2(heis2):
     assert _digest(p.times, p.x, p.e, p.increments) == (
         "f8830eb7b019848738dc8df7ca6c0b0d872d140d2c83439af91d853a1ff1e1a5"
     )
+
+
+# the benchmark's diagnostics task (check-hormander, check-model and
+# check-smoothness on the gauge n = 2 model) plus bracket ranks on the
+# gauge n = 1 and flat n = 2 models
+DIAGNOSTICS_GOLDEN = {
+    "check-hormander --model heisenberg_phase --n 2 --kappa 0.9 --max-order 3 "
+    "--points 20 --seed 17":
+        "47afbae5f918a4a131817416e5acf3fd9c920e96ba3836f66ab38b50d1ab9288",
+    "check-hormander --model heisenberg_phase --n 1 --kappa 0.9 --max-order 3 "
+    "--points 20 --seed 19":
+        "a6299fbe7d329945a5485d755337aae913295a6fceb0b5cebbc856a04be9b8f8",
+    "check-hormander --model heisenberg --n 2 --max-order 2 --points 20 --seed 23":
+        "979054c33213df849af98ce4d8bb55c5f6de18b08517f56f0aaa84db7c37e3d9",
+    "check-model --model heisenberg_phase --n 2 --kappa 0.9 --points 20 --seed 18":
+        "dd4a25fcb73003fe027e79a78aaae9b32b8643aac29d9f5cccf40ef87b881134",
+    "check-smoothness --model heisenberg_phase --n 2 --kappa 0.9 --form dt "
+    "--max-order 3":
+        "5374bcf9b46a3c23560d085db7673f84cb25803b85ef122a5ea248dec497945f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DIAGNOSTICS_GOLDEN))
+def test_cli_diagnostics_golden(tmp_path, command):
+    out = tmp_path / "diag.csv"
+    assert main(command.split() + ["--output", str(out)]) == 0
+    assert _file_sha(out) == DIAGNOSTICS_GOLDEN[command]
 
 
 # --- seed rule of the exit sampler at block edges ---------------------------

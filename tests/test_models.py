@@ -5,8 +5,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from crdiff import gauge_rotated_model, heisenberg_model, phase_rotated_heisenberg, validate_model
-from crdiff.models import ModelDescriptor, conjugate_index, levi_gram
+from crdiff import (
+    gauge_rotated_model,
+    heisenberg_model,
+    koranyi_ball,
+    phase_rotated_heisenberg,
+    validate_model,
+)
+from crdiff.models import (
+    FD_STEP,
+    ModelDescriptor,
+    central_difference,
+    conjugate_index,
+    levi_gram,
+)
 
 RNG = np.random.default_rng(20260801)
 POINTS = RNG.normal(size=(10, 3))
@@ -231,3 +243,39 @@ def test_flat_declaration_with_curved_christoffel_rejected(heis1, gauge1):
         dataclasses.replace(heis1, christoffel=gauge1.christoffel)
     with pytest.raises(ValueError, match="flat connection"):
         dataclasses.replace(gauge1, flat_connection=True)
+
+
+def _loop_central_difference(f, x, h):
+    """Reference: one pair of calls per coordinate, columns stacked last."""
+    cols = []
+    for j in range(x.shape[-1]):
+        e = np.zeros(x.shape[-1])
+        e[j] = h
+        cols.append((f(x + e) - f(x - e)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(5,), (7, 5), (2, 3, 5)])
+@pytest.mark.parametrize("what", ["theta", "frame", "phi"])
+def test_central_difference_matches_coordinate_loop(what, shape):
+    """The stacked stencil gives the per-coordinate loop's bits, any batch."""
+    m = phase_rotated_heisenberg(2, 0.9)
+    f = {"theta": m.theta, "frame": m.frame, "phi": koranyi_ball(2, 1.0).phi}[what]
+    x = np.random.default_rng(41).uniform(-1.0, 1.0, size=shape)
+    got = central_difference(f, x, FD_STEP)
+    want = _loop_central_difference(f, x, FD_STEP)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_validate_model_differentiates_theta_once(gauge1):
+    """theta is evaluated at the points and once on their stacked stencil."""
+    calls = []
+
+    def theta(x):
+        calls.append(np.shape(x))
+        return gauge1.theta(x)
+
+    rep = validate_model(dataclasses.replace(gauge1, theta=theta), POINTS)
+    assert rep.passed
+    assert calls == [(10, 3), (10, 6, 3)]
