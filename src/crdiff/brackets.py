@@ -24,7 +24,6 @@ __all__ = [
     "lie_bracket",
     "BracketTable",
     "span_rank",
-    "directional_derivative",
     "phi_functional",
     "smoothness_condition",
     "apply_generator",
@@ -40,29 +39,6 @@ def index_label(a: int) -> str:
     if a == 0:
         return "T"
     return str(a) if a > 0 else f"{-a}*"
-
-
-def directional_derivative(
-    f: Callable[[np.ndarray], complex], x: np.ndarray, direction: np.ndarray,
-    h: float = FD_STEP,
-) -> complex:
-    """Central-difference derivative of a scalar along a complex vector.
-
-    The scalar oracle of the package, kept as a loop over coordinates
-    rather than one stacked call: f need not broadcast (phi_functional
-    differentiates its own per-point recursion through it), and
-    coordinates where the direction vanishes are never evaluated.
-    """
-    x = np.asarray(x, dtype=float)
-    total = 0.0 + 0.0j
-    for j in range(x.shape[-1]):
-        d = direction[..., j]
-        if d == 0:
-            continue
-        e = np.zeros_like(x)
-        e[j] = h
-        total += d * (f(x + e) - f(x - e)) / (2.0 * h)
-    return complex(total)
 
 
 @dataclass(frozen=True)
@@ -82,11 +58,6 @@ class VectorField:
             return np.asarray(self.jac(x), dtype=complex)
         return central_difference(self.at, x, h)
 
-    def apply(self, f: Callable[[np.ndarray], complex], x: np.ndarray,
-              h: float = FD_STEP) -> complex:
-        """Derivation of a scalar function: (W f)(x)."""
-        return directional_derivative(f, x, self.at(x), h=h)
-
     def bracket(self, other: "VectorField") -> "VectorField":
         def comps(x: np.ndarray) -> np.ndarray:
             return _bracket_value(
@@ -102,14 +73,19 @@ def _bracket_value(w: np.ndarray, jw: np.ndarray, v: np.ndarray,
     return np.einsum("...kj,...j->...k", jv, w) - np.einsum("...kj,...j->...k", jw, v)
 
 
+def _column(frame_array: np.ndarray, a: int) -> np.ndarray:
+    """Column of a frame-indexed array (last axis) for signed index a != 0."""
+    col = frame_array[..., abs(a) - 1]
+    return col if a > 0 else np.conj(col)
+
+
 def frame_vector_field(m: ModelDescriptor, a: int) -> VectorField:
     """The frame field with signed index a as a VectorField."""
     jac = None
     if a != 0 and m.frame_jacobian is not None:
 
         def jac(x: np.ndarray) -> np.ndarray:
-            full = m.frame_jacobian(x)[..., abs(a) - 1]
-            return full if a > 0 else np.conj(full)
+            return _column(m.frame_jacobian(x), a)
 
     return VectorField(
         comps=lambda x: m.frame_field(a, x), jac=jac, name=index_label(a)
@@ -177,14 +153,21 @@ def _bracket_values(m: ModelDescriptor, x: np.ndarray, max_order: int,
     order-r tail, so order r is evaluated on x and on its nested stencils
     up to depth max_order - r: P (2D)^(max_order - 2) points for order 2.
     Each tail's jacobian is computed once and shared by every head letter.
+    The frame and its jacobian are evaluated once per stencil depth, the
+    jacobian by central differences when the model supplies none.
     """
     alphabet = _alphabet(m.n)
     points = [np.asarray(x, dtype=float)]
     for _depth in range(max_order - 2):
         points.append(fd_stencil(points[-1], h))
-    frame = {a: frame_vector_field(m, a) for a in alphabet}
-    head = {a: [f.at(y) for y in points] for a, f in frame.items()}
-    head_jac = {a: [f.jacobian(y, h) for y in points] for a, f in frame.items()}
+    frames = [np.asarray(m.frame(y), dtype=complex) for y in points]
+    if m.frame_jacobian is not None:
+        frame_jacs = [np.asarray(m.frame_jacobian(y), dtype=complex) for y in points]
+    else:  # (..., k, a, j) -> (..., k, j, a), the layout of frame_jacobian
+        frame_jacs = [np.swapaxes(central_difference(m.frame, y, h), -1, -2)
+                      for y in points]
+    head = {a: [_column(z, a) for z in frames] for a in alphabet}
+    head_jac = {a: [_column(jz, a) for jz in frame_jacs] for a in alphabet}
 
     orders = _bracket_tags(m.n, max_order)
     # vals[tag][d], jacs[tag][d]: the current order on the depth-d points
@@ -244,27 +227,33 @@ def span_rank(m: ModelDescriptor, x: np.ndarray, max_order: int,
 # recursive smoothness functionals for line integrals
 
 
-def _frame_comp(m: ModelDescriptor, form: OneForm, a: int, x: np.ndarray) -> complex:
-    return complex(np.einsum("k,k->", form.comps(x), m.frame_field(a, x)))
+def _along(direction: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
+           x: np.ndarray, h: float) -> np.ndarray:
+    """Derivative of a broadcasting scalar f along complex directions at x."""
+    return np.einsum("...j,...j->...", direction, central_difference(f, x, h))
+
+
+def _frame_comp(m: ModelDescriptor, form: OneForm, a: int, x: np.ndarray) -> np.ndarray:
+    return np.einsum("...k,...k->...", form.comps(x), m.frame_field(a, x))
 
 
 def _frame_comp_derivative(
     m: ModelDescriptor, form: OneForm, a: int, x: np.ndarray,
     direction: np.ndarray, h: float,
-) -> complex:
-    """Derivative of x -> Xi(Z_a)(x) along a complex direction.
+) -> np.ndarray:
+    """Derivative of x -> Xi(Z_a)(x) along complex directions, per point.
 
     Uses the product-rule with analytic jacobians when both the form and
-    the frame supply them, otherwise falls back to finite differences.
+    the frame supply them, otherwise central differences.
     """
     if form.chart_jacobian is not None and (a == 0 or m.frame_jacobian is not None):
         comps = form.comps(x)
         cjac = np.asarray(form.chart_jacobian(x), dtype=complex)  # [k, j]
         fld = m.frame_field(a, x)
         fjac = frame_vector_field(m, a).jacobian(x)               # [k, j]
-        grad = np.einsum("kj,k->j", cjac, fld) + np.einsum("k,kj->j", comps, fjac)
-        return complex(np.einsum("j,j->", direction, grad))
-    return directional_derivative(lambda y: _frame_comp(m, form, a, y), x, direction, h=h)
+        grad = np.einsum("...kj,...k->...j", cjac, fld) + np.einsum("...k,...kj->...j", comps, fjac)
+        return np.einsum("...j,...j->...", direction, grad)
+    return _along(direction, lambda y: _frame_comp(m, form, a, y), x, h)
 
 
 def _nested_bracket(m: ModelDescriptor, indices: Sequence[int]) -> VectorField:
@@ -273,6 +262,21 @@ def _nested_bracket(m: ModelDescriptor, indices: Sequence[int]) -> VectorField:
     for a in reversed(indices[:-1]):
         fld = frame_vector_field(m, a).bracket(fld)
     return fld
+
+
+def _phi(m: ModelDescriptor, form: OneForm, indices: tuple[int, ...],
+         x: np.ndarray, h: float) -> np.ndarray:
+    """phi_functional at points x (..., D), broadcast over leading axes."""
+    m.require_inside(x)
+    head, tail = indices[0], indices[1:]
+    if not tail:
+        return _frame_comp(m, form, head, x)
+    if len(tail) == 1:
+        term1 = _frame_comp_derivative(m, form, tail[0], x, m.frame_field(head, x), h)
+    else:
+        term1 = _along(m.frame_field(head, x), lambda y: _phi(m, form, tail, y, h), x, h)
+    bracket_dir = _nested_bracket(m, tail).at(x)
+    return term1 - _frame_comp_derivative(m, form, head, x, bracket_dir, h)
 
 
 def phi_functional(
@@ -286,29 +290,18 @@ def phi_functional(
     of the tail applied to the head pairing.  For two indices the bracket
     degenerates to the single tail field (literal reading of the
     recursion; see the decisions ledger).
+
+    The tail functional is differentiated by one central-difference call
+    on the stacked stencil, so k indices evaluate the recursion at
+    (2D)^(k - 2) points at the deepest level; every level checks that its
+    points, the stencil probes included, lie inside the chart.
     """
     indices = tuple(int(a) for a in indices)
     if len(indices) == 0:
         raise ValueError("need at least one frame index")
     if any(a == 0 for a in indices):
         raise ValueError("indices range over the frame and its conjugates, not T")
-    m.require_inside(x)
-    x = np.asarray(x, dtype=float)
-    if len(indices) == 1:
-        return _frame_comp(m, form, indices[0], x)
-    head, tail = indices[0], indices[1:]
-    if len(tail) == 1:
-        term1 = _frame_comp_derivative(
-            m, form, tail[0], x, m.frame_field(head, x), h=h
-        )
-    else:
-        term1 = directional_derivative(
-            lambda y: phi_functional(m, form, tail, y, h=h),
-            x, m.frame_field(head, x), h=h,
-        )
-    bracket_dir = _nested_bracket(m, tail).at(x)
-    term2 = _frame_comp_derivative(m, form, head, x, bracket_dir, h=h)
-    return term1 - term2
+    return complex(_phi(m, form, indices, np.asarray(x, dtype=float), h))
 
 
 def smoothness_condition(
@@ -338,26 +331,32 @@ def smoothness_condition(
 # the local generator, used as a harmonicity oracle
 
 
-def apply_generator(m: ModelDescriptor, f: Callable[[np.ndarray], complex],
+def apply_generator(m: ModelDescriptor, f: Callable[[np.ndarray], np.ndarray],
                     x: np.ndarray, h: float = FD_STEP) -> complex:
     """Apply the diffusion generator to a scalar function at a point.
 
     Local representation: half the sum of the symmetrized second frame
-    derivatives minus the Christoffel drift.  Intended as a numerical
-    oracle for harmonicity checks, not a performance path.
+    derivatives minus the Christoffel drift.  f maps (..., D) to (...) and
+    must broadcast over leading axes: each frame derivative is one
+    central-difference call on the stacked stencil, so a second derivative
+    evaluates f at (2D)^2 points.  Intended as a numerical oracle for
+    harmonicity checks, not a performance path.
     """
     x = np.asarray(x, dtype=float)
     n = m.n
+
+    def deriv(a: int, g: Callable[[np.ndarray], np.ndarray]):
+        """Z_a g as a broadcasting function."""
+        return lambda y: _along(m.frame_field(a, y), g, y, h)
+
     total = 0.0 + 0.0j
     for a in range(1, n + 1):
-        za = frame_vector_field(m, a)
-        zab = frame_vector_field(m, -a)
-        total += za.apply(lambda y: zab.apply(f, y, h=h), x, h=h)
-        total += zab.apply(lambda y: za.apply(f, y, h=h), x, h=h)
+        total += deriv(a, deriv(-a, f))(x)
+        total += deriv(-a, deriv(a, f))(x)
     gam = m.christoffel(x)
     drift = 0.0 + 0.0j
     for a in range(1, n + 1):
         c_a = complex(sum(gam[n + b, b - 1, a - 1] for b in range(1, n + 1)))
-        drift += c_a * frame_vector_field(m, a).apply(f, x, h=h)
-        drift += np.conj(c_a) * frame_vector_field(m, -a).apply(f, x, h=h)
-    return 0.5 * (total - drift)
+        drift += c_a * deriv(a, f)(x)
+        drift += np.conj(c_a) * deriv(-a, f)(x)
+    return complex(0.5 * (total - drift))

@@ -167,6 +167,7 @@ def parse_config(argv) -> RunConfig:
     Raises ConfigError (mapped to exit code 2) on unknown keys, type
     errors, or invalid values; flag values override file values.
     """
+    argv = list(argv)
     parser = argparse.ArgumentParser(
         prog="crdiff",
         description="simulate sub-Laplacian diffusions on CR model charts",
@@ -174,6 +175,8 @@ def parse_config(argv) -> RunConfig:
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
         p = sub.add_parser(cmd)
+        if argv[:1] != [cmd]:
+            continue  # only the invoked command's flags are ever parsed
         p.add_argument("--config", default=None, help="INI file with a [run] section")
         for key, (typ, _default) in _SCHEMAS[cmd].items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, default=None)

@@ -228,15 +228,6 @@ def heisenberg_model(n: int) -> ModelDescriptor:
     )
 
 
-def _directional_scalar_matrix(vec: np.ndarray, dmat: np.ndarray) -> np.ndarray:
-    """Derivative of a matrix-valued map along a complex vector.
-
-    vec: (..., D) complex direction; dmat: (..., D, n, n) with axis -3 the
-    coordinate derivative index.  Returns (..., n, n).
-    """
-    return np.einsum("...j,...jab->...ab", vec, dmat)
-
-
 def gauge_rotated_model(
     base: ModelDescriptor,
     lam: Callable[[np.ndarray], np.ndarray],
@@ -407,17 +398,6 @@ class ValidationReport:
 def theta_jacobian_fd(m: ModelDescriptor, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """d_j theta_k by central differences, shape (..., k, j)."""
     return central_difference(m.theta, x, h)
-
-
-def dtheta_pair(m: ModelDescriptor, x: np.ndarray, vec_a: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
-    """Exterior derivative of theta on a pair of vectors.
-
-    Uses the convention d theta(X, Y) = (X theta(Y) - Y theta(X)
-    - theta([X, Y])) / 2, which in coordinates reads
-    sum_{j,k} (d_j theta_k - d_k theta_j) X^j Y^k / 2.
-    """
-    anti = _theta_antisym(m, x)                   # [k, j] - [j, k]
-    return 0.5 * np.einsum("...j,...kj,...k->...", vec_a, anti, vec_b)
 
 
 def _theta_antisym(m: ModelDescriptor, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Lie brackets, span ranks, recursive smoothness functionals, generator oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from crdiff import (
     theta_form,
 )
 from crdiff.brackets import VectorField, _nested_bracket, frame_vector_field, index_label
-from crdiff.models import ModelDescriptor
+from crdiff.models import ChartBoundsError, ModelDescriptor
 from crdiff.observables import OneForm
 
 RNG = np.random.default_rng(20260802)
@@ -149,6 +151,9 @@ BATCH_MODELS = {
     "heis2": heisenberg_model(2),
     "gauge1": phase_rotated_heisenberg(1, 0.9),
     "gauge2": phase_rotated_heisenberg(2, 0.9),
+    # frame jacobians by central differences of the frame
+    "gauge1_fd": dataclasses.replace(phase_rotated_heisenberg(1, 0.9), frame_jacobian=None),
+    "gauge2_fd": dataclasses.replace(phase_rotated_heisenberg(2, 0.9), frame_jacobian=None),
 }
 
 
@@ -219,6 +224,51 @@ def test_phi_rejects_transverse_index(heis1):
         phi_functional(heis1, form_du(1), (0, 1), np.zeros(3))
 
 
+GAUGE2 = BATCH_MODELS["gauge2"]
+PIN_POINT = np.array([0.31, -0.17, 0.23, 0.41, -0.29])
+# Values of the scalar per-coordinate recursion these functionals replaced,
+# recorded before the move to stacked central differences.
+PHI_PINS = [
+    ((1, -2), True, -0.10350000000000001 - 0.1845j),
+    ((1, -2, 2), True, 1.0424665364946744 - 0.2784350918774389j),
+    ((2, -1, 1, -2), True, 0.30104378462309855 + 0.16508853294786513j),
+    ((1, -2), False, -0.10349999999830749 - 0.18449999999731567j),
+    ((1, -2, 2), False, 1.0424665364792718 - 0.27843509187246535j),
+    ((2, -1, 1, -2), False, 0.3004568298298249 + 0.16554243696473364j),
+]
+
+
+@pytest.mark.parametrize("indices,analytic,expected", PHI_PINS)
+def test_phi_pinned_values(indices, analytic, expected):
+    """Both derivative branches keep their values on a non-symmetric point.
+
+    Without the form's chart jacobian every derivative is a central
+    difference; four indices then nest three of them, where reordering the
+    last-bit rounding of the innermost quotients moves the value by up to
+    eps |phi| / FD_STEP^2 ~ 1e-6 (the branch itself is 6e-4 from the
+    analytic value at this step), so that pin is absolute at that scale.
+    """
+    form = form_du(2, 1)
+    if not analytic:
+        form = OneForm("du1_fd", form.chart_comps)
+    val = phi_functional(GAUGE2, form, indices, PIN_POINT)
+    assert isinstance(val, complex)
+    if analytic or len(indices) < 4:
+        np.testing.assert_allclose(val, expected, rtol=1e-9, atol=0)
+    else:
+        np.testing.assert_allclose(val, expected, rtol=0, atol=1e-6)
+
+
+def test_phi_checks_chart_on_every_stencil_level():
+    """A differentiated tail probes x +- h e_j, which must lie in the chart."""
+    m = dataclasses.replace(heisenberg_model(1), chart_bound=np.array([[-1.0, 1.0]] * 3))
+    x = np.array([1.0 - 5e-6, 0.2, -0.3])
+    # two indices differentiate only pairings, here analytically: no probes
+    assert phi_functional(m, form_du(1), (1, -1), x) == 0.0
+    with pytest.raises(ChartBoundsError):
+        phi_functional(m, form_du(1), (1, -1, 1), x)
+
+
 def test_smoothness_witness_first_order(heis1):
     ok, witness, value = smoothness_condition(heis1, form_du(1), np.zeros(3), 1)
     assert ok and witness == (1,)
@@ -276,3 +326,20 @@ def test_radial_moment_growth_rate(heis1, heis2):
         )
         assert val.real == pytest.approx(m.n, abs=1e-6)
         assert abs(val.imag) < 1e-9
+
+
+def _nonlinear(y):
+    return np.exp(0.3 * y[..., 0]) * np.cos(y[..., -1]) + y[..., 1] ** 2 * y[..., -1]
+
+
+@pytest.mark.parametrize("m,x,expected", [
+    (BATCH_MODELS["heis1"], np.array([0.3, -0.4, 0.7]), 0.48419805664945403),
+    (BATCH_MODELS["gauge1"], np.array([0.3, -0.4, 0.7]), 0.4841980566472684),
+    (GAUGE2, PIN_POINT, -0.3958093463997164),
+], ids=["heis1", "gauge1", "gauge2"])
+def test_generator_pinned_values(m, x, expected):
+    """Values of the scalar per-coordinate oracle, recorded before the move
+    to nested stacked central differences."""
+    val = apply_generator(m, _nonlinear, x)
+    assert isinstance(val, complex)
+    np.testing.assert_allclose(val, expected, rtol=1e-9, atol=0)

@@ -21,6 +21,31 @@ def test_parse_minimal_flags():
     assert cfg.params["model"] == "heisenberg"
 
 
+def test_help_lists_commands_and_their_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(cmd in out for cmd in cli.COMMANDS)
+    for cmd in cli.COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            parse_config([cmd, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        flags = {f"--{key.replace('_', '-')}" for key in cli._SCHEMAS[cmd]} | {"--config"}
+        assert all(flag in out for flag in flags), cmd
+        others = {f"--{key.replace('_', '-')}" for schema in cli._SCHEMAS.values()
+                  for key in schema} - flags
+        assert not any(f"{flag} " in out for flag in others), cmd
+
+
+def test_flag_of_another_command_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_config("check-model --max-order 3".split())
+    assert exc.value.code == 2
+    assert "--max-order" in capsys.readouterr().err
+
+
 def test_negative_steps_rejected_with_key_name(capsys):
     code = main("simulate --steps -5 --paths 10 --seed 1".split())
     assert code == 2
