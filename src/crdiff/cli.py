@@ -224,6 +224,9 @@ def _validate(command: str, params: dict) -> None:
 # helpers
 
 
+CSV_CHUNK = 4096  # float-table rows formatted per printf call
+
+
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return format(float(v), ".17g")
@@ -291,10 +294,18 @@ def _write_csv(path: str, cfg: RunConfig, columns, rows, extra_comments=()) -> N
     ]
     lines += [f"# {c}" for c in extra_comments]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    table = isinstance(rows, np.ndarray)
+    if not table:
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+        if table:
+            # a float table: the "%.17g,..." row template repeated over a
+            # chunk of rows, one printf per chunk; same text as _fmt
+            row = ",".join(["%.17g"] * rows.shape[-1]) + "\n"
+            for lo in range(0, rows.shape[0], CSV_CHUNK):
+                chunk = rows[lo : lo + CSV_CHUNK]
+                fh.write(row * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
 def _coord_names(n):
@@ -368,15 +379,16 @@ def _cmd_density(cfg: RunConfig) -> int:
     if bw not in ("scott", "silverman"):
         bw = np.array([float(s) for s in bw.split(",")])
     est = estimate_density(ens, m, window, grid_points=p["grid_points"], bandwidth=bw)
-    mesh = np.stack(np.meshgrid(*est.axes, indexing="ij"), axis=-1).reshape(-1, m.dim)
-    rows = [list(pt) + [val] for pt, val in zip(mesh, est.values.ravel())]
+    # one row per grid node: its coordinates, then the density
+    nodes = np.meshgrid(*est.axes, indexing="ij")
+    table = np.stack([*nodes, est.values], axis=-1).reshape(-1, m.dim + 1)
     out = _output_path(p, cfg.command)
     meta = [
         "bandwidth " + ",".join(_fmt(b) for b in est.bandwidth),
         f"n_samples {est.n_samples}",
         f"normalization {_fmt(est.normalization())}",
     ]
-    _write_csv(out, cfg, _coord_names(m.n) + ["density"], rows, extra_comments=meta)
+    _write_csv(out, cfg, _coord_names(m.n) + ["density"], table, extra_comments=meta)
     print(f"density: {est.n_samples} samples on {p['grid_points']}^{m.dim} grid, "
           f"seed={p['seed']} -> {out}")
     return 0

@@ -74,9 +74,10 @@ def velocity_arrays(
     Returns (dx, de) with dx real of shape (..., D) and de complex of
     shape (..., n, n).  dx is the real part of the moved frame direction
     taken twice, which is identically real; de solves the parallelism
-    constraint de = -G e with G built from the Christoffel symbols.  On a
-    model with a flat connection G = 0: de is zero and christoffel is not
-    evaluated.
+    constraint de = -G e with G the connection form along dx
+    (m.connection_form: the model's connection evaluator, or the
+    Christoffel contraction for a model without one).  On a model with a
+    flat connection G = 0: de is zero and neither is evaluated.
     """
     n = m.n
     z = m.frame(x)                                        # (..., D, n)
@@ -84,9 +85,7 @@ def velocity_arrays(
     dx = 2.0 * np.real(np.einsum("...kb,...b->...k", z, w))
     if m.flat_connection:
         return dx, np.zeros(dx.shape[:-1] + (n, n), dtype=complex)
-    gam = m.christoffel(x)                                # (..., 2n+1, n, n)
-    g = np.einsum("...b,...bdg->...gd", w, gam[..., 1 : n + 1, :, :])
-    g += np.einsum("...b,...bdg->...gd", np.conj(w), gam[..., n + 1 :, :, :])
+    g = m.connection_form(x, w, dx)
     de = -np.einsum("...gd,...de->...ge", g, e)
     return dx, de
 

@@ -104,6 +104,17 @@ class ModelDescriptor:
                           evaluating christoffel.  The declaration is probed
                           at one point inside the chart on construction,
                           including through dataclasses.replace.
+    connection(x, w, dx) -> (..., n, n) complex, or None: the connection
+                          form along X = dx = sum_b w_b Z_b + conj, as the
+                          matrix G[g, d] = sum_b w_b Gamma_{b, d}^{g}
+                          + conj(w_b) Gamma_{bbar, d}^{g} of de = -G e.
+                          It must agree with christoffel; without it the
+                          integrator contracts christoffel(x) with w (see
+                          connection_form).  dataclasses.replace(m,
+                          christoffel=...) keeps the old connection, so a
+                          replacement christoffel must come with a matching
+                          connection (or connection=None) to reach the
+                          integrator.
     """
 
     n: int
@@ -116,6 +127,7 @@ class ModelDescriptor:
     frame_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     chart_bound: np.ndarray | None = None
     flat_connection: bool = False
+    connection: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if not self.flat_connection:
@@ -132,6 +144,21 @@ class ModelDescriptor:
     @property
     def dim(self) -> int:
         return 2 * self.n + 1
+
+    def connection_form(self, x: np.ndarray, w: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        """The matrix G of de = -G e along X = dx, shape (..., n, n).
+
+        w: (..., n) frame coefficients of the direction, dx: (..., D) its
+        real components.  Calls the model's connection when it has one;
+        otherwise contracts the Christoffel symbols with w.
+        """
+        if self.connection is not None:
+            return self.connection(x, w, dx)
+        n = self.n
+        gam = self.christoffel(x)                         # (..., 2n+1, n, n)
+        g = np.einsum("...b,...bdg->...gd", w, gam[..., 1 : n + 1, :, :])
+        g += np.einsum("...b,...bdg->...gd", np.conj(w), gam[..., n + 1 :, :, :])
+        return g
 
     def frame_field(self, a: int, x: np.ndarray) -> np.ndarray:
         """Components of the field labelled by signed index a at x.
@@ -241,7 +268,11 @@ def gauge_rotated_model(
     coordinate derivatives with shape (..., D, n, n), axis -3 indexing the
     derivative direction.  The Christoffel symbols are transformed so the
     rotated descriptor represents the same connection, hence the same
-    projected diffusion, as the base model.
+    projected diffusion, as the base model.  The connection form along a
+    direction X has the closed form G = ((X(L) + L omega0) L^H)^T with
+    X(L) = sum_j X^j d_j L and omega0 the base connection form along X
+    (zero on a flat base), so stepping never builds the rotated
+    Christoffel tensor.
 
     Raises ValueError if lam fails the unitarity probe.
     """
@@ -292,6 +323,18 @@ def gauge_rotated_model(
         term_g = np.einsum("...gc,...bq,...Aqc->...Abg", Lc, L, m_all)
         return term_d + term_g
 
+    def connection(x: np.ndarray, w: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        # G = conj(L) (X(L)^T + G0 L^T) is the transpose of
+        # (X(L) + L omega0) L^H, where G0 = omega0^T is the base form at the
+        # base-frame coefficients L^T w of the same direction
+        x = np.asarray(x, dtype=float)
+        L = lam(x)
+        inner = np.einsum("...j,...jbc->...cb", dx, dlam(x))
+        if not base.flat_connection:
+            w_base = np.einsum("...ab,...a->...b", L, w)
+            inner = inner + base.connection_form(x, w_base, dx) @ np.swapaxes(L, -1, -2)
+        return np.conj(L) @ inner
+
     def frame_jacobian(x: np.ndarray) -> np.ndarray:
         if base.frame_jacobian is None:
             raise ValueError("base model supplies no frame jacobian")
@@ -313,6 +356,7 @@ def gauge_rotated_model(
         volume_density=base.volume_density,
         frame_jacobian=frame_jacobian if base.frame_jacobian is not None else None,
         chart_bound=base.chart_bound,
+        connection=connection,
     )
 
 

@@ -370,6 +370,10 @@ class LineIntegralObserver:
             pre = _frame_pairing(self.m, self.form, x0, e0)
         post = _frame_pairing(self.m, self.form, x1, e1)
         val = _paired_integrand(pre, db) + _paired_integrand(post, db)
+        if mask.all():
+            self._acc += 0.5 * val
+            self._pre = post
+            return
         self._acc[mask] += 0.5 * val[mask]
         keep = mask[:, None]
         self._pre = tuple(np.where(keep, b, a) for a, b in zip(pre, post))

@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crdiff import (
     gauge_rotated_model,
@@ -191,9 +194,9 @@ def test_phase_gauge_christoffel_matches_fd_oracle(heis1):
     assert np.abs(got).max() > 0.1
 
 
-def test_matrix_gauge_on_h2_consistent(heis2):
-    # position-dependent non-diagonal rotation exp(i kappa t H)
-    kappa = 0.6
+def _matrix_gauge_h2(kappa=0.6):
+    """The position-dependent non-diagonal rotation exp(i kappa t H) on a
+    five-dimensional chart, as (lam, dlam)."""
     h_mat = np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]])
     evals, evecs = np.linalg.eigh(h_mat)
 
@@ -208,6 +211,11 @@ def test_matrix_gauge_on_h2_consistent(heis2):
         out[..., 4, :, :] = np.einsum("...ab,bc->...ac", 1j * kappa * lam(x), h_mat)
         return out
 
+    return lam, dlam
+
+
+def test_matrix_gauge_on_h2_consistent(heis2):
+    lam, dlam = _matrix_gauge_h2()
     m = gauge_rotated_model(heis2, lam, dlam)
     pts = RNG.normal(size=(6, 5))
     rep = validate_model(m, pts)
@@ -216,6 +224,48 @@ def test_matrix_gauge_on_h2_consistent(heis2):
     got = m.christoffel(x)
     want = _fd_rotated_christoffel(heis2, m, lam, x)
     np.testing.assert_allclose(got, want, atol=1e-7)
+
+
+# --- connection form -------------------------------------------------------------
+
+CONNECTION_MODELS = {
+    "phase n=1": lambda: phase_rotated_heisenberg(1, 0.9),
+    "phase n=2": lambda: phase_rotated_heisenberg(2, 0.9),
+    "phase n=3": lambda: phase_rotated_heisenberg(3, 0.9),
+    "matrix gauge on H2": lambda: gauge_rotated_model(
+        heisenberg_model(2), *_matrix_gauge_h2()),
+    # a non-flat base: the base connection form enters the closed form
+    "matrix gauge on phase H2": lambda: gauge_rotated_model(
+        phase_rotated_heisenberg(2, 0.9), *_matrix_gauge_h2()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTION_MODELS))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_connection_matches_christoffel_contraction(name, data):
+    """The closed-form connection form equals the contraction of the
+    Christoffel symbols with the direction's frame coefficients."""
+    m = CONNECTION_MODELS[name]()
+    n, dim = m.n, m.dim
+    p = data.draw(st.integers(1, 4), label="points")
+    # subnormal inputs leave no relative precision to compare
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    x = data.draw(arrays(float, (p, dim), elements=st.floats(-1.5, 1.5)), label="x")
+    e = (data.draw(arrays(float, (p, n, n), elements=unit), label="re e")
+         + 1j * data.draw(arrays(float, (p, n, n), elements=unit), label="im e"))
+    xi = (data.draw(arrays(float, (p, n), elements=unit), label="re xi")
+          + 1j * data.draw(arrays(float, (p, n), elements=unit), label="im xi"))
+    w = np.einsum("...ba,...a->...b", e, xi)
+    dx = 2.0 * np.real(np.einsum("...kb,...b->...k", m.frame(x), w))
+    gam = m.christoffel(x)
+    want = np.einsum("...b,...bdg->...gd", w, gam[..., 1 : n + 1, :, :])
+    want += np.einsum("...b,...bdg->...gd", np.conj(w), gam[..., n + 1 :, :, :])
+    got = m.connection(x, w, dx)
+    assert got.shape == want.shape == (p, n, n)
+    # relative to the size of the summed terms, which bounds |want|
+    scale = 2.0 * np.abs(w).sum(axis=-1).max() * np.abs(gam).max()
+    assert np.abs(got - want).max() <= 1e-14 * scale
 
 
 def test_volume_density_positive_constant(heis1, heis2):

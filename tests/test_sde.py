@@ -193,6 +193,25 @@ def test_flat_step_carries_frame(heis2):
 # --- paths -------------------------------------------------------------------
 
 
+def test_gauge_stepping_makes_no_christoffel_calls(gauge1):
+    """The gauge model steps on its closed-form connection: an ensemble
+    never evaluates the Christoffel symbols."""
+    calls = []
+
+    def christoffel(x):
+        calls.append(np.shape(x))
+        return gauge1.christoffel(x)
+
+    counted = dataclasses.replace(gauge1, christoffel=christoffel)
+    cfg = SimConfig(t_horizon=0.5, n_steps=20, seed=4, reunitarize_every=2)
+    s0 = FrameState(np.array([0.1, -0.2, 0.3]), np.eye(1))
+    ens = simulate_ensemble(counted, s0, cfg, 50)
+    assert calls == []
+    ref = simulate_ensemble(gauge1, s0, cfg, 50)
+    assert ens.x.tobytes() == ref.x.tobytes()
+    assert ens.e.tobytes() == ref.e.tobytes()
+
+
 def test_flat_model_z_update_is_exact_partial_sum(heis1):
     cfg = SimConfig(t_horizon=1.0, n_steps=1000, seed=42)
     path = simulate_path(heis1, ORIGIN1, cfg)
