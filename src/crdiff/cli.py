@@ -224,13 +224,10 @@ def _validate(command: str, params: dict) -> None:
 # helpers
 
 
-CSV_CHUNK = 4096  # float-table rows formatted per printf call
+CSV_CHUNK = 4096  # table rows formatted per printf call
 
-
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
+# printf code per column dtype kind; any other kind (str, object) is %s
+_CSV_CODES = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
 
 
 def _model(params):
@@ -286,7 +283,14 @@ def _output_path(params, command) -> str:
     return os.path.join(base, f"{command.replace('-', '_')}.csv")
 
 
-def _write_csv(path: str, cfg: RunConfig, columns, rows, extra_comments=()) -> None:
+def _write_csv(path: str, cfg: RunConfig, columns, table, extra_comments=()) -> None:
+    """Write header comments, the column names and one row per table entry.
+
+    ``table`` holds one 1-D array per column; each column's dtype kind
+    picks its printf code (``_CSV_CODES``), and the row template is
+    repeated over chunks of ``CSV_CHUNK`` rows, one printf per chunk.
+    """
+    table = [np.asarray(col) for col in table]
     lines = [
         f"# crdiff {__version__}",
         f"# config {cfg.hash()}",
@@ -294,18 +298,17 @@ def _write_csv(path: str, cfg: RunConfig, columns, rows, extra_comments=()) -> N
     ]
     lines += [f"# {c}" for c in extra_comments]
     lines.append(",".join(columns))
-    table = isinstance(rows, np.ndarray)
-    if not table:
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+    row = ",".join(_CSV_CODES.get(col.dtype.kind, "%s") for col in table) + "\n"
+    n_rows = table[0].shape[0]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-        if table:
-            # a float table: the "%.17g,..." row template repeated over a
-            # chunk of rows, one printf per chunk; same text as _fmt
-            row = ",".join(["%.17g"] * rows.shape[-1]) + "\n"
-            for lo in range(0, rows.shape[0], CSV_CHUNK):
-                chunk = rows[lo : lo + CSV_CHUNK]
-                fh.write(row * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+        for lo in range(0, n_rows, CSV_CHUNK):
+            # the chunk's cells in row-major order, one printf per chunk
+            k = min(CSV_CHUNK, n_rows - lo)
+            cells = [None] * (k * len(table))
+            for j, col in enumerate(table):
+                cells[j :: len(table)] = col[lo : lo + k].tolist()
+            fh.write(row * k % tuple(cells))
 
 
 def _coord_names(n):
@@ -332,20 +335,14 @@ def _cmd_simulate(cfg: RunConfig) -> int:
             + [f"e{i+1}{j+1}_{part}" for i in range(m.n) for j in range(m.n)
                for part in ("re", "im")]
             + ["status"])
-    rows = []
-    for pid in range(ens.n_paths):
-        for t_idx in range(rec.times.size):
-            if not rec.valid[t_idx, pid]:
-                continue
-            e = rec.e[t_idx, pid]
-            flat = []
-            for i in range(m.n):
-                for j in range(m.n):
-                    flat += [e[i, j].real, e[i, j].imag]
-            rows.append([pid, rec.times[t_idx]] + list(rec.x[t_idx, pid])
-                        + flat + [STATUS_NAMES[ens.status[pid]]])
+    # one row per recorded state, by path then time
+    pid, t_idx = np.nonzero(rec.valid.T)
+    e = rec.e[t_idx, pid]
+    frame = np.stack([e.real, e.imag], axis=-1).reshape(pid.size, -1)
+    status = np.array(STATUS_NAMES)[ens.status[pid]]
     out = _output_path(p, cfg.command)
-    _write_csv(out, cfg, cols, rows)
+    _write_csv(out, cfg, cols,
+               [pid, rec.times[t_idx], *rec.x[t_idx, pid].T, *frame.T, status])
     capped = ens.capped_fraction
     print(f"simulate: {ens.n_paths} paths x {sim.n_steps} steps, "
           f"capped {capped:.2%}, seed={p['seed']} -> {out}")
@@ -381,12 +378,12 @@ def _cmd_density(cfg: RunConfig) -> int:
     est = estimate_density(ens, m, window, grid_points=p["grid_points"], bandwidth=bw)
     # one row per grid node: its coordinates, then the density
     nodes = np.meshgrid(*est.axes, indexing="ij")
-    table = np.stack([*nodes, est.values], axis=-1).reshape(-1, m.dim + 1)
+    table = [col.ravel() for col in (*nodes, est.values)]
     out = _output_path(p, cfg.command)
     meta = [
-        "bandwidth " + ",".join(_fmt(b) for b in est.bandwidth),
+        "bandwidth " + ",".join("%.17g" % b for b in est.bandwidth),
         f"n_samples {est.n_samples}",
-        f"normalization {_fmt(est.normalization())}",
+        "normalization %.17g" % est.normalization(),
     ]
     _write_csv(out, cfg, _coord_names(m.n) + ["density"], table, extra_comments=meta)
     print(f"density: {est.n_samples} samples on {p['grid_points']}^{m.dim} grid, "
@@ -402,9 +399,8 @@ def _cmd_line_integral(cfg: RunConfig) -> int:
     form = _form(p, m.n) or theta_form(m)
     ens = line_integral_ensemble(m, s0, sim, p["paths"], form, n_workers=p["workers"])
     vals = ens.observables["line_integral"]
-    rows = [[pid, vals[pid]] for pid in range(ens.n_paths)]
     out = _output_path(p, cfg.command)
-    _write_csv(out, cfg, ["path_id", "value"], rows,
+    _write_csv(out, cfg, ["path_id", "value"], [np.arange(ens.n_paths), vals],
                extra_comments=[f"form {form.name}"])
     print(f"line-integral[{form.name}]: {ens.n_paths} paths, "
           f"mean {vals.mean():.6g}, seed={p['seed']} -> {out}")
@@ -424,12 +420,9 @@ def _cmd_charfn(cfg: RunConfig) -> int:
     samples = ens.x[ens.completed][:, names.index(obs)]
     lambdas = np.array([float(s) for s in p["lambdas"].split(",")])
     cf = char_function(samples, lambdas)
-    rows = [
-        [lam, val.real, val.imag, sr, si]
-        for lam, val, sr, si in zip(cf.lambdas, cf.values, cf.stderr_re, cf.stderr_im)
-    ]
     out = _output_path(p, cfg.command)
-    _write_csv(out, cfg, ["lambda", "re", "im", "se_re", "se_im"], rows,
+    _write_csv(out, cfg, ["lambda", "re", "im", "se_re", "se_im"],
+               [cf.lambdas, cf.values.real, cf.values.imag, cf.stderr_re, cf.stderr_im],
                extra_comments=[f"observable {obs}", f"n_samples {samples.size}"])
     print(f"charfn[{obs}]: {samples.size} samples, seed={p['seed']} -> {out}")
     return 0
@@ -446,8 +439,10 @@ def _cmd_check_model(cfg: RunConfig) -> int:
     rep = validate_model(m, _probe_points(p, m.dim))
     print(rep.as_text())
     if p["format"] == "csv" and p.get("output"):
-        rows = [[r["check"], r["residual"], r["tol"], r["passed"]] for r in rep.rows()]
-        _write_csv(p["output"], cfg, ["check", "residual", "tol", "passed"], rows)
+        checks = rep.checks
+        _write_csv(p["output"], cfg, ["check", "residual", "tol", "passed"],
+                   [[c.name for c in checks], [c.residual for c in checks],
+                    [c.tol for c in checks], [c.passed for c in checks]])
     print(f"check-model: {'pass' if rep.passed else 'FAIL'}, seed={p['seed']}")
     return 0 if rep.passed else 1
 
@@ -457,15 +452,13 @@ def _cmd_check_hormander(cfg: RunConfig) -> int:
     m = _model(p)
     pts = _probe_points(p, m.dim)
     table = span_rank(m, pts, p["max_order"])
-    pad = [0.0] * (m.dim - table.singular_values.shape[-1])
-    rows = [
-        list(pt) + [int(rank)] + list(sv[: m.dim]) + pad
-        for pt, rank, sv in zip(pts, table.rank, table.singular_values)
-    ]
+    sv = table.singular_values[:, : m.dim]
+    sv = np.pad(sv, ((0, 0), (0, m.dim - sv.shape[1])))
     cols = _coord_names(m.n) + ["rank"] + [f"sv{i+1}" for i in range(m.dim)]
     out = _output_path(p, cfg.command)
-    _write_csv(out, cfg, cols, rows, extra_comments=[f"max_order {p['max_order']}"])
-    ranks = sorted({int(r[m.dim]) for r in rows})
+    _write_csv(out, cfg, cols, [*pts.T, table.rank, *sv.T],
+               extra_comments=[f"max_order {p['max_order']}"])
+    ranks = np.unique(table.rank).tolist()
     print(f"check-hormander: order {p['max_order']}, ranks {ranks}, "
           f"seed={p['seed']} -> {out}")
     return 0
@@ -485,10 +478,9 @@ def _cmd_check_smoothness(cfg: RunConfig) -> int:
         print(f"check-smoothness[{form.name}]: not satisfied up to order "
               f"{p['max_order']}")
     if p["format"] == "csv" and p.get("output"):
-        rows = [[form.name, int(ok),
-                 ",".join(index_label(a) for a in witness) if witness else "",
-                 abs(value)]]
-        _write_csv(p["output"], cfg, ["form", "satisfied", "witness", "abs_phi"], rows)
+        _write_csv(p["output"], cfg, ["form", "satisfied", "witness", "abs_phi"],
+                   [[form.name], [ok],
+                    [",".join(index_label(a) for a in witness or ())], [abs(value)]])
     return 0
 
 
@@ -524,19 +516,16 @@ def _cmd_dirichlet(cfg: RunConfig) -> int:
     _write_csv(
         out, cfg,
         ["estimate", "stderr", "n_used", "horizon_fraction", "flagged", "collar_max"],
-        [[res.estimate, res.stderr, res.n_used, res.horizon_fraction,
-          int(res.flagged), res.collar_max]],
+        [[res.estimate], [res.stderr], [res.n_used], [res.horizon_fraction],
+         [res.flagged], [res.collar_max]],
         extra_comments=[f"domain {domain.name}", f"data {data_raw}"],
     )
     if p.get("records"):
         batch = res.batch
-        rows = [
-            [pid, batch.tau[pid]] + list(batch.points[pid])
-            + [EXIT_STATUS_NAMES[batch.status[pid]], batch.phi_residual[pid]]
-            for pid in range(p["paths"])
-        ]
         _write_csv(p["records"], cfg,
-                   ["path_id", "tau"] + names + ["status", "phi_residual"], rows)
+                   ["path_id", "tau"] + names + ["status", "phi_residual"],
+                   [np.arange(p["paths"]), batch.tau, *batch.points.T,
+                    np.array(EXIT_STATUS_NAMES)[batch.status], batch.phi_residual])
     flag = ""
     if res.flagged:
         flag = " [FLAGGED: share of paths that did not exit above threshold]"

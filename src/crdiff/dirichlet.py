@@ -27,8 +27,7 @@ from .sde import BLOCK, SimConfig, _block_rng, _heun, _map_blocks
 
 # Not called here (the Heun kernel is sde._heun), but kept as names of this
 # module because the benchmark tracer (bench/tracer.py) wraps them here.
-from .frame_bundle import velocity_arrays  # noqa: F401
-from .sde import _polar_batch  # noqa: F401
+from .frame_bundle import _polar_batch, velocity_arrays  # noqa: F401
 
 __all__ = [
     "Domain",
@@ -438,7 +437,9 @@ def sample_exits(
 
     x0 may be a single point (shared by all paths) or one point per path
     of shape (n_paths, D).  Uses the same block seed rule as the plain
-    simulators, so results are reproducible for any worker count.
+    simulators, so results are reproducible for any worker count.  On a
+    model with a chart bound the domain's bounding box must lie inside it,
+    since exit paths are stepped until they leave the domain.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -450,6 +451,10 @@ def sample_exits(
             raise ValueError("per-path starts must match n_paths")
         starts = x0
     m.require_inside(starts)
+    if m.chart_bound is not None and (
+        d.bounding_box is None or not m.inside_chart(d.bounding_box.T).all()
+    ):
+        raise ValueError(f"domain {d.name} is not inside the chart of model '{m.name}'")
 
     def run(block: int, lo: int, hi: int):
         return _exit_block(

@@ -112,16 +112,37 @@ def horizontal_velocity(m: ModelDescriptor, s: FrameState, xi: np.ndarray) -> Bu
     return BundleVelocity(dx=dx, de=de)
 
 
+def _polar_batch(e: np.ndarray) -> np.ndarray:
+    """Unitary polar factor of each frame of a batch (closed form for n = 1).
+
+    A singular or non-finite frame has no polar factor: its row comes back
+    NaN, without a warning, so the stepping loops retire it as nonfinite.
+    """
+    if e.shape[-1] == 1:
+        a = np.abs(e)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(a > 0, e / a, np.nan)
+    finite = np.isfinite(e).all(axis=(-2, -1))
+    if not finite.all():
+        out = np.full(e.shape, np.nan, dtype=complex)
+        out[finite] = _polar_batch(e[finite])
+        return out
+    u, s, vh = np.linalg.svd(e)
+    out = u @ vh
+    out[s[..., -1] <= SINGULAR_RTOL * s[..., 0]] = np.nan
+    return out
+
+
 def reunitarize(e: np.ndarray) -> np.ndarray:
     """Unitary polar factor of e, the nearest unitary in Frobenius norm.
 
-    Batched over leading axes.  Raises on (numerically) singular input.
+    Batched over leading axes; the stepping kernel's ``_polar_batch``.
+    Raises on (numerically) singular or non-finite input.
     """
-    e = np.asarray(e, dtype=complex)
-    u, s, vh = np.linalg.svd(e)
-    if np.any(s[..., -1] <= SINGULAR_RTOL * s[..., 0]):
-        raise ValueError("cannot reunitarize a singular frame matrix")
-    return u @ vh
+    u = _polar_batch(np.asarray(e, dtype=complex))
+    if np.isnan(u).any():
+        raise ValueError("cannot reunitarize a singular or non-finite frame matrix")
+    return u
 
 
 def frame_coefficients(m: ModelDescriptor, x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -427,17 +427,6 @@ class ValidationReport:
         )
         return "\n".join(lines)
 
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "check": c.name,
-                "residual": c.residual,
-                "tol": c.tol,
-                "passed": int(c.passed),
-            }
-            for c in self.checks
-        ]
-
 
 def theta_jacobian_fd(m: ModelDescriptor, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """d_j theta_k by central differences, shape (..., k, j)."""

@@ -11,8 +11,10 @@ slots; block b draws from PCG64 seeded by SeedSequence(seed,
 spawn_key=(0, b)), one standard_normal((BLOCK, 2n)) call per step, path
 p occupying slot p % BLOCK.  Every path is therefore a pure function of
 (seed, path index, config): results cannot depend on worker count,
-scheduling, or the total number of paths.  Exit-time refinement streams
-(see dirichlet) use spawn_key=(1, path index).
+scheduling, or the total number of paths.  Exit-time refinement (see
+dirichlet) draws its substep normals per crossing event: one
+standard_normal((max_levels, 2n)) call from PCG64 seeded by
+SeedSequence(seed, spawn_key=(1, path index, crossing step)).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frame_bundle import SINGULAR_RTOL, UNITARITY_TOL, FrameState, velocity_arrays
+from .frame_bundle import UNITARITY_TOL, FrameState, _polar_batch, velocity_arrays
 from .models import ModelDescriptor
 
 __all__ = [
@@ -49,7 +51,8 @@ STATUS_NAMES = ("completed", "capped", "nonfinite")
 SEED_RULE = (
     "block b: PCG64(SeedSequence(seed, spawn_key=(0, b))), "
     f"one standard_normal(({BLOCK}, 2n)) per step, path p in slot p % {BLOCK}; "
-    "increment = (g[:n] + i g[n:]) sqrt(dt/2); refinement stream: spawn_key=(1, p)"
+    "increment = (g[:n] + i g[n:]) sqrt(dt/2); refinement of path p crossing at "
+    "step k: one standard_normal((max_levels, 2n)) from spawn_key=(1, p, k)"
 )
 
 
@@ -168,11 +171,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def refinement_rng(seed: int, path_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(1, int(path_index)))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def _seeded_draw_fn(seed: int, block: int, n: int, dt: float, n_active: int):
     rng = _block_rng(seed, block)
     scale = np.sqrt(dt / 2.0)
@@ -198,27 +196,6 @@ def driving_increments(cfg: SimConfig, n_paths: int, n: int) -> np.ndarray:
             out[lo:hi, k, :] = draw(k)
 
     _map_blocks(fill, n_paths, 1)
-    return out
-
-
-def _polar_batch(e: np.ndarray) -> np.ndarray:
-    """Unitary polar factor of each frame of a batch (closed form for n = 1).
-
-    A singular or non-finite frame has no polar factor: its row comes back
-    NaN, without a warning, so the stepping loops retire it as nonfinite.
-    """
-    if e.shape[-1] == 1:
-        a = np.abs(e)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(a > 0, e / a, np.nan)
-    finite = np.isfinite(e).all(axis=(-2, -1))
-    if not finite.all():
-        out = np.full(e.shape, np.nan, dtype=complex)
-        out[finite] = _polar_batch(e[finite])
-        return out
-    u, s, vh = np.linalg.svd(e)
-    out = u @ vh
-    out[s[..., -1] <= SINGULAR_RTOL * s[..., 0]] = np.nan
     return out
 
 
@@ -348,7 +325,10 @@ def _run_block(
             rec.x[t_idx], rec.e[t_idx], rec.valid[t_idx] = x, e, active
 
     steps_taken[active] = n_steps
-    increments = np.stack(inc_list, axis=1) if inc_list else None
+    increments = None
+    if collect_increments:
+        increments = (np.stack(inc_list, axis=1) if inc_list
+                      else np.zeros((p_count, 0, e.shape[-1]), dtype=complex))
     return x, e, status, steps_taken, rec, increments
 
 
@@ -377,10 +357,6 @@ def simulate_path(
     """Integrate a single trajectory; equals path 0 of the seeded ensemble."""
     m.require_inside(s0.x)
     _require_unitary(s0)
-    if cfg.n_steps == 0:
-        return Path(np.array([0.0]), s0.x[None].astype(float),
-                    s0.e[None].astype(complex), "completed", cfg.record_stride,
-                    np.zeros((0, m.n), dtype=complex) if store_increments else None)
     draw = _seeded_draw_fn(cfg.seed, 0, m.n, cfg.dt, 1)
     out = _run_block(
         m, s0.x[None], s0.e[None], cfg, draw,

@@ -1,5 +1,7 @@
 """Exit-time sampling, harmonic averages, boundary regularity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,23 @@ def test_deep_interior_point_stays(heis1):
     cfg = SimConfig(t_horizon=1e-3, n_steps=200, seed=314)
     batch = sample_exits(heis1, np.zeros(3), BALL, cfg, 200)
     assert (batch.status == STATUS_EXITED).mean() == 0.0
+
+
+def test_exits_require_domain_inside_chart(heis1):
+    """Exit paths are stepped until they leave the domain, so a domain
+    reaching past the chart bound is refused: unchecked, all 200 paths of
+    this run read exited at points outside the chart."""
+    m = dataclasses.replace(heis1, chart_bound=np.array([[-0.5, 0.5]] * 3))
+    cfg = SimConfig(t_horizon=4.0, n_steps=800, seed=0)
+    with pytest.raises(ValueError, match="not inside the chart"):
+        sample_exits(m, np.zeros(3), BALL, cfg, 200)
+    unboxed = Domain(name="ball without box", phi=BALL.phi)
+    with pytest.raises(ValueError, match="not inside the chart"):
+        sample_exits(m, np.zeros(3), unboxed, cfg, 200)
+    inner = koranyi_ball(1, 0.45)
+    batch = sample_exits(m, np.zeros(3), inner, cfg, 200)
+    assert batch.exited.all()
+    assert m.inside_chart(batch.points).all()
 
 
 # --- non-finite paths and the refinement level budget -----------------------------

@@ -12,7 +12,8 @@ from crdiff import (
     parallel_transport,
     reunitarize,
 )
-from crdiff.frame_bundle import frame_coefficients, velocity_arrays
+from crdiff import dirichlet, sde
+from crdiff.frame_bundle import _polar_batch, frame_coefficients, velocity_arrays
 
 
 def test_velocity_at_origin(heis1):
@@ -125,6 +126,26 @@ def test_polar_batched():
     u = reunitarize(e)
     defect = np.abs(np.conj(np.swapaxes(u, -1, -2)) @ u - np.eye(2)).max()
     assert defect < 1e-14
+    # one singular frame in a batch: the kernel NaNs its row, reunitarize raises
+    e[3] = [[1.0, 0.0], [0.0, 0.0]]
+    assert np.isnan(_polar_batch(e)[3]).all()
+    assert np.isfinite(np.delete(_polar_batch(e), 3, axis=0)).all()
+    with pytest.raises(ValueError):
+        reunitarize(e)
+
+
+def test_polar_n1_closed_form():
+    e = np.array([[[2.0 - 1.0j]], [[-0.5j]], [[1e-300 + 0j]]])
+    np.testing.assert_array_equal(reunitarize(e), e / np.abs(e))
+    with pytest.raises(ValueError):
+        reunitarize(np.array([[[1.0 + 0j]], [[0.0 + 0j]]]))
+
+
+def test_polar_factor_shared_with_stepping():
+    """reunitarize and the Heun kernels (sde and the exit sampler) use the
+    one polar factor."""
+    assert sde._polar_batch is _polar_batch
+    assert dirichlet._polar_batch is _polar_batch
 
 
 # --- parallel transport ------------------------------------------------------

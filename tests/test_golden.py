@@ -8,7 +8,9 @@ connection vanishes) and the reuse of the observer's post-step pairing;
 the diagnostics digests were taken before bracket generations were
 evaluated once over a batch of probe points and before the finite
 differences moved onto one stacked stencil; the density digest was taken
-before the density CSV was formatted from one float table.  Per-row
+before the density CSV was formatted from one float table; the simulate
+and charfn digests were taken before every command handed the CSV writer
+typed columns instead of Python rows formatted value by value.  Per-row
 arithmetic is unchanged by these changes, so the pins must hold exactly;
 a change that moves them changes the arithmetic and has to re-pin them on
 purpose.
@@ -106,6 +108,34 @@ def test_cli_density_golden(tmp_path):
     assert main(DENSITY_GOLDEN_ARGV.split() + ["--output", str(out)]) == 0
     assert _file_sha(out) == (
         "b81f8c21e546186eff49a199770d06a1ffb0e6d51519753d48660242592de41e"
+    )
+
+
+# 7538 rows, so two CSV_CHUNKs, 2276 of them from capped paths whose
+# records stop at the cap; and a gauge n = 2 run for the frame columns'
+# e{i}{j}_{re,im} order
+SIMULATE_GOLDEN = {
+    "simulate --paths 3000 --steps 40 --record-stride 20 --cap 1.2 --seed 5":
+        "78bbac16679e50a4fca5470506ac7cb8bb1df57da604b714adad21bd018eb8d9",
+    "simulate --model heisenberg_phase --n 2 --kappa 0.9 --paths 30 --steps 20 "
+    "--seed 3":
+        "0eba0550daaed7aedb1203eb0d967b14b3b34383f5431fbfa49c5b79e8954b34",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIMULATE_GOLDEN))
+def test_cli_simulate_golden(tmp_path, command):
+    out = tmp_path / "sim.csv"
+    assert main(command.split() + ["--output", str(out)]) == 0
+    assert _file_sha(out) == SIMULATE_GOLDEN[command]
+
+
+def test_cli_charfn_golden(tmp_path):
+    out = tmp_path / "charfn.csv"
+    argv = "charfn --paths 2000 --steps 50 --seed 4"
+    assert main(argv.split() + ["--output", str(out)]) == 0
+    assert _file_sha(out) == (
+        "f61fd678caec618fbe1933fc2c7c5f82b64ec2ba25416fe3839b11161471fdfb"
     )
 
 

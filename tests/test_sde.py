@@ -25,6 +25,7 @@ from crdiff.sde import (
     driving_increments,
     simulate_with_increments,
 )
+from crdiff.observables import form_du, line_integral
 
 ORIGIN1 = FrameState(np.zeros(3), np.eye(1))
 
@@ -228,7 +229,13 @@ def test_zero_step_path(heis1):
     cfg = SimConfig(t_horizon=1.0, n_steps=0, seed=1)
     path = simulate_path(heis1, ORIGIN1, cfg)
     assert len(path) == 1
+    assert path.status == "completed"
     np.testing.assert_array_equal(path.x[0], ORIGIN1.x)
+    np.testing.assert_array_equal(path.e[0], ORIGIN1.e)
+    assert path.increments.shape == (0, 1)
+    assert path.increments.dtype == complex
+    assert line_integral(heis1, path, form_du(1, 1)) == 0.0
+    assert simulate_path(heis1, ORIGIN1, cfg, store_increments=False).increments is None
 
 
 def test_capped_path_truncates(heis1):
