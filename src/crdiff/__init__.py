@@ -29,7 +29,6 @@ from .sde import (
     Ensemble,
     Path,
     SimConfig,
-    sample_increment,
     simulate_ensemble,
     simulate_path,
     step,

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .models import FD_STEP, ModelDescriptor, central_difference, fd_quotient, fd_stencil
+from .models import ModelDescriptor, central_difference, fd_quotient, fd_stencil
 from .observables import OneForm
 
 __all__ = [
@@ -30,7 +30,10 @@ __all__ = [
     "index_label",
 ]
 
+# singular values at most RANK_EPS times the largest do not count towards
+# the rank: genuine degeneracy, not finite-difference noise
 RANK_EPS = 1e-8
+# a recursive functional certifies smoothness once its modulus exceeds this
 PHI_THRESHOLD = 1e-8
 
 
@@ -52,11 +55,11 @@ class VectorField:
     def at(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.comps(np.asarray(x, dtype=float)), dtype=complex)
 
-    def jacobian(self, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
         """d_j W^k as [..., k, j]; finite differences unless analytic."""
         if self.jac is not None:
             return np.asarray(self.jac(x), dtype=complex)
-        return central_difference(self.at, x, h)
+        return central_difference(self.at, x)
 
     def bracket(self, other: "VectorField") -> "VectorField":
         def comps(x: np.ndarray) -> np.ndarray:
@@ -111,11 +114,6 @@ class BracketTable:
     vectors: np.ndarray          # (count, D) complex, (P, count, D) for a batch
     singular_values: np.ndarray  # descending along the last axis
     rank: int | np.ndarray       # (P,) integer array for a batch
-    rank_eps: float
-
-    def full(self, dim: int) -> bool | np.ndarray:
-        """Whether the span is the whole tangent space, per point for a batch."""
-        return self.rank == dim
 
 
 def _alphabet(n: int) -> list[int]:
@@ -144,8 +142,8 @@ def _bracket_tags(n: int, max_order: int) -> list[list[tuple[int, ...]]]:
     return orders
 
 
-def _bracket_values(m: ModelDescriptor, x: np.ndarray, max_order: int,
-                    h: float = FD_STEP) -> tuple[list, np.ndarray]:
+def _bracket_values(m: ModelDescriptor, x: np.ndarray,
+                    max_order: int) -> tuple[list, np.ndarray]:
     """Tags and values (..., count, D) of every field and bracket at x.
 
     Generations are evaluated in order, each once over the whole batch.
@@ -159,12 +157,12 @@ def _bracket_values(m: ModelDescriptor, x: np.ndarray, max_order: int,
     alphabet = _alphabet(m.n)
     points = [np.asarray(x, dtype=float)]
     for _depth in range(max_order - 2):
-        points.append(fd_stencil(points[-1], h))
+        points.append(fd_stencil(points[-1]))
     frames = [np.asarray(m.frame(y), dtype=complex) for y in points]
     if m.frame_jacobian is not None:
         frame_jacs = [np.asarray(m.frame_jacobian(y), dtype=complex) for y in points]
     else:  # (..., k, a, j) -> (..., k, j, a), the layout of frame_jacobian
-        frame_jacs = [np.swapaxes(central_difference(m.frame, y, h), -1, -2)
+        frame_jacs = [np.swapaxes(central_difference(m.frame, y), -1, -2)
                       for y in points]
     head = {a: [_column(z, a) for z in frames] for a in alphabet}
     head_jac = {a: [_column(jz, a) for jz in frame_jacs] for a in alphabet}
@@ -184,15 +182,14 @@ def _bracket_values(m: ModelDescriptor, x: np.ndarray, max_order: int,
             for tag in tags
         }
         jacs = {
-            tag: [fd_quotient(v, v.ndim - 2, h) for v in vs[1:]]
+            tag: [fd_quotient(v, v.ndim - 2) for v in vs[1:]]
             for tag, vs in vals.items()
         }
         vectors += [vs[0] for vs in vals.values()]
     return [tag for order in orders for tag in order], np.stack(vectors, axis=-2)
 
 
-def span_rank(m: ModelDescriptor, x: np.ndarray, max_order: int,
-              rank_eps: float = RANK_EPS) -> BracketTable:
+def span_rank(m: ModelDescriptor, x: np.ndarray, max_order: int) -> BracketTable:
     """Real span of Re/Im frame fields and brackets up to max_order.
 
     x is one point (D,) or a batch (P, D).  Every bracket generation is
@@ -205,8 +202,7 @@ def span_rank(m: ModelDescriptor, x: np.ndarray, max_order: int,
     brackets on P (2D)^(max_order - 2) stencil points, so memory grows by
     a factor 2D with each order above 2.
 
-    Rank counts singular values above rank_eps times the largest one, a
-    threshold separating genuine degeneracy from finite-difference noise.
+    Rank counts singular values above RANK_EPS times the largest one.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -216,10 +212,10 @@ def span_rank(m: ModelDescriptor, x: np.ndarray, max_order: int,
         np.concatenate([vectors.real, vectors.imag], axis=-2), -1, -2
     )
     sv = np.linalg.svd(real_cols, compute_uv=False)
-    rank = np.count_nonzero(sv > rank_eps * sv[..., :1], axis=-1)
+    rank = np.count_nonzero(sv > RANK_EPS * sv[..., :1], axis=-1)
     return BracketTable(
         x=x, tags=tags, vectors=vectors, singular_values=sv,
-        rank=int(rank) if x.ndim == 1 else rank, rank_eps=rank_eps,
+        rank=int(rank) if x.ndim == 1 else rank,
     )
 
 
@@ -228,9 +224,9 @@ def span_rank(m: ModelDescriptor, x: np.ndarray, max_order: int,
 
 
 def _along(direction: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
-           x: np.ndarray, h: float) -> np.ndarray:
+           x: np.ndarray) -> np.ndarray:
     """Derivative of a broadcasting scalar f along complex directions at x."""
-    return np.einsum("...j,...j->...", direction, central_difference(f, x, h))
+    return np.einsum("...j,...j->...", direction, central_difference(f, x))
 
 
 def _frame_comp(m: ModelDescriptor, form: OneForm, a: int, x: np.ndarray) -> np.ndarray:
@@ -238,8 +234,7 @@ def _frame_comp(m: ModelDescriptor, form: OneForm, a: int, x: np.ndarray) -> np.
 
 
 def _frame_comp_derivative(
-    m: ModelDescriptor, form: OneForm, a: int, x: np.ndarray,
-    direction: np.ndarray, h: float,
+    m: ModelDescriptor, form: OneForm, a: int, x: np.ndarray, direction: np.ndarray
 ) -> np.ndarray:
     """Derivative of x -> Xi(Z_a)(x) along complex directions, per point.
 
@@ -253,7 +248,7 @@ def _frame_comp_derivative(
         fjac = frame_vector_field(m, a).jacobian(x)               # [k, j]
         grad = np.einsum("...kj,...k->...j", cjac, fld) + np.einsum("...k,...kj->...j", comps, fjac)
         return np.einsum("...j,...j->...", direction, grad)
-    return _along(direction, lambda y: _frame_comp(m, form, a, y), x, h)
+    return _along(direction, lambda y: _frame_comp(m, form, a, y), x)
 
 
 def _nested_bracket(m: ModelDescriptor, indices: Sequence[int]) -> VectorField:
@@ -265,23 +260,22 @@ def _nested_bracket(m: ModelDescriptor, indices: Sequence[int]) -> VectorField:
 
 
 def _phi(m: ModelDescriptor, form: OneForm, indices: tuple[int, ...],
-         x: np.ndarray, h: float) -> np.ndarray:
+         x: np.ndarray) -> np.ndarray:
     """phi_functional at points x (..., D), broadcast over leading axes."""
     m.require_inside(x)
     head, tail = indices[0], indices[1:]
     if not tail:
         return _frame_comp(m, form, head, x)
     if len(tail) == 1:
-        term1 = _frame_comp_derivative(m, form, tail[0], x, m.frame_field(head, x), h)
+        term1 = _frame_comp_derivative(m, form, tail[0], x, m.frame_field(head, x))
     else:
-        term1 = _along(m.frame_field(head, x), lambda y: _phi(m, form, tail, y, h), x, h)
+        term1 = _along(m.frame_field(head, x), lambda y: _phi(m, form, tail, y), x)
     bracket_dir = _nested_bracket(m, tail).at(x)
-    return term1 - _frame_comp_derivative(m, form, head, x, bracket_dir, h)
+    return term1 - _frame_comp_derivative(m, form, head, x, bracket_dir)
 
 
 def phi_functional(
-    m: ModelDescriptor, form: OneForm, indices: Sequence[int], x: np.ndarray,
-    h: float = FD_STEP,
+    m: ModelDescriptor, form: OneForm, indices: Sequence[int], x: np.ndarray
 ) -> complex:
     """Recursive functional whose nonvanishing certifies a smooth density.
 
@@ -301,18 +295,18 @@ def phi_functional(
         raise ValueError("need at least one frame index")
     if any(a == 0 for a in indices):
         raise ValueError("indices range over the frame and its conjugates, not T")
-    return complex(_phi(m, form, indices, np.asarray(x, dtype=float), h))
+    return complex(_phi(m, form, indices, np.asarray(x, dtype=float)))
 
 
 def smoothness_condition(
-    m: ModelDescriptor, form: OneForm, x: np.ndarray, max_order: int,
-    threshold: float = PHI_THRESHOLD, h: float = FD_STEP,
+    m: ModelDescriptor, form: OneForm, x: np.ndarray, max_order: int
 ) -> tuple[bool, tuple[int, ...] | None, complex]:
     """Breadth-first search for a nonvanishing recursive functional.
 
     Multi-indices are scanned by increasing length and lexicographically
     within a length, over the alphabet [1..n, 1*..n*], so witnesses are
-    reproducible.  Returns (satisfied, witness, value).
+    reproducible; the first with modulus above PHI_THRESHOLD is the
+    witness.  Returns (satisfied, witness, value).
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -320,8 +314,8 @@ def smoothness_condition(
     stack = [(a,) for a in alphabet]
     for _order in range(1, max_order + 1):
         for idx in stack:
-            val = phi_functional(m, form, idx, x, h=h)
-            if abs(val) > threshold:
+            val = phi_functional(m, form, idx, x)
+            if abs(val) > PHI_THRESHOLD:
                 return True, idx, val
         stack = [idx + (a,) for idx in stack for a in alphabet]
     return False, None, 0.0j
@@ -332,7 +326,7 @@ def smoothness_condition(
 
 
 def apply_generator(m: ModelDescriptor, f: Callable[[np.ndarray], np.ndarray],
-                    x: np.ndarray, h: float = FD_STEP) -> complex:
+                    x: np.ndarray) -> complex:
     """Apply the diffusion generator to a scalar function at a point.
 
     Local representation: half the sum of the symmetrized second frame
@@ -347,7 +341,7 @@ def apply_generator(m: ModelDescriptor, f: Callable[[np.ndarray], np.ndarray],
 
     def deriv(a: int, g: Callable[[np.ndarray], np.ndarray]):
         """Z_a g as a broadcasting function."""
-        return lambda y: _along(m.frame_field(a, y), g, y, h)
+        return lambda y: _along(m.frame_field(a, y), g, y)
 
     total = 0.0 + 0.0j
     for a in range(1, n + 1):

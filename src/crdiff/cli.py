@@ -239,14 +239,21 @@ def _model(params):
     raise ConfigError(f"unknown model '{name}'")
 
 
-def _start_point(params, dim) -> np.ndarray:
-    raw = params.get("start", "origin")
-    if raw == "origin":
-        return np.zeros(dim)
-    vals = [float(s) for s in raw.split(",")]
-    if len(vals) != dim:
-        raise ConfigError(f"key 'start' needs {dim} comma-separated coordinates")
-    return np.array(vals)
+def _floats(key: str, raw: str, length: int | None = None) -> np.ndarray:
+    """The comma-separated numbers of key ``key``, optionally exactly ``length``."""
+    try:
+        vals = np.array([float(s) for s in raw.split(",")])
+    except ValueError:
+        raise ConfigError(f"key '{key}' needs comma-separated numbers, got {raw!r}") from None
+    if length is not None and vals.size != length:
+        raise ConfigError(f"key '{key}' needs {length} comma-separated numbers, got {raw!r}")
+    return vals
+
+
+def _point(params, key: str, dim: int) -> np.ndarray:
+    """The chart point of key ``key``: ``origin`` or dim coordinates."""
+    raw = params[key]
+    return np.zeros(dim) if raw == "origin" else _floats(key, raw, dim)
 
 
 def _sim_config(params) -> SimConfig:
@@ -326,7 +333,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     p = cfg.params
     m = _model(p)
     sim = _sim_config(p)
-    s0 = FrameState(_start_point(p, m.dim), np.eye(m.n))
+    s0 = FrameState(_point(p, "start", m.dim), np.eye(m.n))
     ens = simulate_ensemble(
         m, s0, sim, p["paths"], n_workers=p["workers"], record=True
     )
@@ -353,17 +360,8 @@ def _cmd_density(cfg: RunConfig) -> int:
     p = cfg.params
     m = _model(p)
     sim = _sim_config(p)
-    s0 = FrameState(_start_point(p, m.dim), np.eye(m.n))
-    ens = simulate_ensemble(m, s0, sim, p["paths"], n_workers=p["workers"])
-    samples = ens.x[ens.completed]
-    if samples.shape[0] < 100:
-        print("density: fewer than 100 completed paths", file=sys.stderr)
-        return 1
-    if p["window"] == "auto":
-        lo, hi = samples.min(axis=0), samples.max(axis=0)
-        pad = 0.05 * (hi - lo)
-        window = np.stack([lo - pad, hi + pad], axis=1)
-    else:
+    s0 = FrameState(_point(p, "start", m.dim), np.eye(m.n))
+    if p["window"] != "auto":
         try:
             window = np.array(
                 [[float(a) for a in pair.split(":")] for pair in p["window"].split(",")]
@@ -374,7 +372,18 @@ def _cmd_density(cfg: RunConfig) -> int:
             raise ConfigError(f"key 'window' needs {m.dim} lo:hi pairs")
     bw = p["bandwidth"]
     if bw not in ("scott", "silverman"):
-        bw = np.array([float(s) for s in bw.split(",")])
+        bw = _floats("bandwidth", bw, m.dim)
+        if not (bw > 0).all():
+            raise ConfigError(f"key 'bandwidth' must be positive per axis, got {p['bandwidth']!r}")
+    ens = simulate_ensemble(m, s0, sim, p["paths"], n_workers=p["workers"])
+    samples = ens.x[ens.completed]
+    if samples.shape[0] < 100:
+        print("density: fewer than 100 completed paths", file=sys.stderr)
+        return 1
+    if p["window"] == "auto":
+        lo, hi = samples.min(axis=0), samples.max(axis=0)
+        pad = 0.05 * (hi - lo)
+        window = np.stack([lo - pad, hi + pad], axis=1)
     est = estimate_density(ens, m, window, grid_points=p["grid_points"], bandwidth=bw)
     # one row per grid node: its coordinates, then the density
     nodes = np.meshgrid(*est.axes, indexing="ij")
@@ -395,7 +404,7 @@ def _cmd_line_integral(cfg: RunConfig) -> int:
     p = cfg.params
     m = _model(p)
     sim = _sim_config(p)
-    s0 = FrameState(_start_point(p, m.dim), np.eye(m.n))
+    s0 = FrameState(_point(p, "start", m.dim), np.eye(m.n))
     form = _form(p, m.n) or theta_form(m)
     ens = line_integral_ensemble(m, s0, sim, p["paths"], form, n_workers=p["workers"])
     vals = ens.observables["line_integral"]
@@ -411,14 +420,14 @@ def _cmd_charfn(cfg: RunConfig) -> int:
     p = cfg.params
     m = _model(p)
     sim = _sim_config(p)
-    s0 = FrameState(_start_point(p, m.dim), np.eye(m.n))
-    ens = simulate_ensemble(m, s0, sim, p["paths"], n_workers=p["workers"])
+    s0 = FrameState(_point(p, "start", m.dim), np.eye(m.n))
     obs = p["observable"]
     names = _coord_names(m.n)
     if obs not in names:
         raise ConfigError(f"key 'observable' must be one of {names}")
+    lambdas = _floats("lambdas", p["lambdas"])
+    ens = simulate_ensemble(m, s0, sim, p["paths"], n_workers=p["workers"])
     samples = ens.x[ens.completed][:, names.index(obs)]
-    lambdas = np.array([float(s) for s in p["lambdas"].split(",")])
     cf = char_function(samples, lambdas)
     out = _output_path(p, cfg.command)
     _write_csv(out, cfg, ["lambda", "re", "im", "se_re", "se_im"],
@@ -468,7 +477,7 @@ def _cmd_check_smoothness(cfg: RunConfig) -> int:
     p = cfg.params
     m = _model(p)
     form = _form(p, m.n) or theta_form(m)
-    point = _start_point({"start": p["point"]}, m.dim)
+    point = _point(p, "point", m.dim)
     ok, witness, value = smoothness_condition(m, form, point, p["max_order"])
     if ok:
         tag = ",".join(index_label(a) for a in witness)
@@ -490,20 +499,27 @@ def _cmd_dirichlet(cfg: RunConfig) -> int:
     sim = _sim_config(p)
     dom_raw = p["domain"]
     if dom_raw.startswith("koranyi:"):
-        domain = koranyi_ball(m.n, float(dom_raw.split(":", 1)[1]))
+        try:
+            domain = koranyi_ball(m.n, float(dom_raw.split(":", 1)[1]))
+        except ValueError as exc:
+            raise ConfigError(f"key 'domain': {exc}") from None
     else:
         raise ConfigError(f"unknown domain preset '{dom_raw}'")
     data_raw = p["data"]
     names = _coord_names(m.n)
     if data_raw.startswith("const:"):
-        c = float(data_raw.split(":", 1)[1])
+        try:
+            c = float(data_raw.split(":", 1)[1])
+        except ValueError:
+            msg = f"key 'data' needs a number after 'const:', got {data_raw!r}"
+            raise ConfigError(msg) from None
         f = lambda x: np.full(x.shape[:-1], c)
     elif data_raw in names:
         idx = names.index(data_raw)
         f = lambda x: x[..., idx]
     else:
         raise ConfigError(f"unknown boundary data preset '{data_raw}'")
-    x0 = _start_point(p, m.dim)
+    x0 = _point(p, "start", m.dim)
     try:
         res = solve_dirichlet(
             m, domain, f, x0, p["paths"], sim, n_workers=p["workers"],

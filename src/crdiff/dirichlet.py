@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .models import ModelDescriptor, central_difference
+from .models import ModelDescriptor
 from .sde import BLOCK, SimConfig, _block_rng, _heun, _map_blocks
 
 # Not called here (the Heun kernel is sde._heun), but kept as names of this
@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 DELTA_BAND = 1e-4
+# halvings of a crossing step before an exit outside the collar is accepted
 MAX_REFINE_LEVELS = 30
-GRAD_STEP = 1e-6
 
 STATUS_EXITED = 0
 STATUS_HORIZON = 1
@@ -57,23 +57,15 @@ EXIT_STATUS_NAMES = ("exited", "horizon_exceeded", "nonfinite")
 class Domain:
     """A relatively compact region cut out by a defining function.
 
-    phi < 0 inside, phi > 0 outside; grad_phi is optional (finite
-    differences otherwise) and must not vanish on the boundary.
+    phi < 0 inside, phi > 0 outside.
     """
 
     name: str
     phi: Callable[[np.ndarray], np.ndarray]
-    grad_phi: Callable[[np.ndarray], np.ndarray] | None = None
     bounding_box: np.ndarray | None = None
 
     def phi_at(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.phi(np.asarray(x, dtype=float)), dtype=float)
-
-    def grad_at(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.grad_phi is not None:
-            return np.asarray(self.grad_phi(x), dtype=float)
-        return central_difference(self.phi_at, x, GRAD_STEP)
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         return self.phi_at(x) < 0
@@ -91,20 +83,10 @@ def koranyi_ball(n: int, radius: float) -> Domain:
         zsq = np.sum(x[..., : 2 * n] ** 2, axis=-1)
         return zsq**2 + x[..., 2 * n] ** 2 - r4
 
-    def grad_phi(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        zsq = np.sum(x[..., : 2 * n] ** 2, axis=-1)
-        out = np.empty_like(x)
-        out[..., : 2 * n] = 4.0 * zsq[..., None] * x[..., : 2 * n]
-        out[..., 2 * n] = 2.0 * x[..., 2 * n]
-        return out
-
     box = np.empty((dim, 2))
     box[: 2 * n, 0], box[: 2 * n, 1] = -radius, radius
     box[2 * n] = (-(radius**2), radius**2)
-    return Domain(
-        name=f"koranyi_ball(R={radius})", phi=phi, grad_phi=grad_phi, bounding_box=box
-    )
+    return Domain(name=f"koranyi_ball(R={radius})", phi=phi, bounding_box=box)
 
 
 @dataclass
@@ -184,7 +166,6 @@ def _refine_events(
     h = np.full(c_count, dt)
     t_off = np.zeros(c_count)
     level = np.zeros(c_count, dtype=np.int64)
-    split_ctr = np.zeros(c_count, dtype=np.int64)
     depth = np.zeros(c_count, dtype=np.int64)
     stack_db = np.zeros((c_count, max_levels, n), dtype=complex)
     stack_h = np.zeros((c_count, max_levels))
@@ -211,10 +192,10 @@ def _refine_events(
         out_t[rows] = t_off[rows]
 
     # each iteration steps only the unsettled events; locals are indexed by act
-    for _ in range(2 * max_levels + 2):
+    # bound: each round settles, pops or splits every active event; splits are
+    # capped at max_levels and pops never exceed pushes: <= 2 max_levels + 1 rounds
+    while not done.all():
         act = np.flatnonzero(~done)
-        if not act.size:
-            break
         x_end, e_end = _heun(m, cur_x[act], cur_e[act], cur_db[act], reunitarize)
         phi_end = d.phi_at(x_end)
         bad = ~np.isfinite(phi_end)
@@ -243,7 +224,7 @@ def _refine_events(
         rem = outside & ~accept
         if rem.any():
             idx = act[rem]
-            g = zdraws[idx, np.minimum(split_ctr[idx], max_levels - 1)]
+            g = zdraws[idx, level[idx]]
             zeta = (g[:, :n] + 1j * g[:, n:]) * np.sqrt(h[idx] / 8.0)[:, None]
             db1 = 0.5 * cur_db[idx] + zeta
             x_mid, e_mid = _heun(m, cur_x[idx], cur_e[idx], db1, reunitarize)
@@ -268,13 +249,7 @@ def _refine_events(
             cur_db[sec] = cur_db[sec] - db1[~first]
             h[idx] *= 0.5
             level[idx] += 1
-            split_ctr[idx] += 1
 
-    if not done.all():
-        # unreachable by the iteration bound; settle defensively as exits
-        idx = np.flatnonzero(~done)
-        x_end, e_end = _heun(m, cur_x[idx], cur_e[idx], cur_db[idx], reunitarize)
-        settle(idx, REFINE_EXIT, x_end, e_end, d.phi_at(x_end))
     return kind, out_t, out_x, out_e, out_r
 
 
@@ -431,7 +406,6 @@ def sample_exits(
     n_paths: int,
     n_workers: int = 1,
     delta_band: float = DELTA_BAND,
-    max_refine_levels: int = MAX_REFINE_LEVELS,
 ) -> ExitBatch:
     """First-exit samples of the diffusion started from x0 with frame I.
 
@@ -439,7 +413,8 @@ def sample_exits(
     of shape (n_paths, D).  Uses the same block seed rule as the plain
     simulators, so results are reproducible for any worker count.  On a
     model with a chart bound the domain's bounding box must lie inside it,
-    since exit paths are stepped until they leave the domain.
+    since exit paths are stepped until they leave the domain.  A crossing
+    step is halved at most MAX_REFINE_LEVELS times.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -458,7 +433,7 @@ def sample_exits(
 
     def run(block: int, lo: int, hi: int):
         return _exit_block(
-            m, d, starts[lo:hi], cfg, block, lo, delta_band, max_refine_levels
+            m, d, starts[lo:hi], cfg, block, lo, delta_band, MAX_REFINE_LEVELS
         )
 
     parts = _map_blocks(run, n_paths, n_workers)
@@ -472,12 +447,9 @@ def exit_sample(
     d: Domain,
     cfg: SimConfig,
     delta_band: float = DELTA_BAND,
-    max_refine_levels: int = MAX_REFINE_LEVELS,
 ) -> ExitRecord:
     """Single first-exit draw; path 0 of the corresponding batch."""
-    batch = sample_exits(
-        m, x0, d, cfg, 1, delta_band=delta_band, max_refine_levels=max_refine_levels
-    )
+    batch = sample_exits(m, x0, d, cfg, 1, delta_band=delta_band)
     return batch.record(0)
 
 
@@ -503,7 +475,6 @@ def solve_dirichlet(
     n_workers: int = 1,
     horizon_threshold: float = 0.01,
     delta_band: float = DELTA_BAND,
-    max_refine_levels: int = MAX_REFINE_LEVELS,
 ) -> DirichletResult:
     """Monte Carlo harmonic average of boundary data at exit points.
 
@@ -515,8 +486,7 @@ def solve_dirichlet(
     collar around the boundary.
     """
     batch = sample_exits(
-        m, x0, d, cfg, n_paths, n_workers=n_workers,
-        delta_band=delta_band, max_refine_levels=max_refine_levels,
+        m, x0, d, cfg, n_paths, n_workers=n_workers, delta_band=delta_band
     )
     mask = batch.exited
     n_used = int(mask.sum())
@@ -545,7 +515,6 @@ def regularity_probe(
     n_steps: int = 1000,
     n_workers: int = 1,
     delta_band: float = DELTA_BAND,
-    max_refine_levels: int = MAX_REFINE_LEVELS,
 ) -> np.ndarray:
     """Fraction of paths from a boundary point that exit by each probe time.
 
@@ -561,8 +530,7 @@ def regularity_probe(
         reunitarize_every=1, coordinate_cap=1e6,
     )
     batch = sample_exits(
-        m, xb, d, cfg, n_paths, n_workers=n_workers,
-        delta_band=delta_band, max_refine_levels=max_refine_levels,
+        m, xb, d, cfg, n_paths, n_workers=n_workers, delta_band=delta_band
     )
     return np.array([(batch.exited & (batch.tau <= t)).mean() for t in t_probes])
 
@@ -583,7 +551,6 @@ def mean_exit_time(
     cfg: SimConfig,
     n_workers: int = 1,
     delta_band: float = DELTA_BAND,
-    max_refine_levels: int = MAX_REFINE_LEVELS,
 ) -> MeanExitTime:
     """Mean first-exit time; horizon paths enter at the horizon value.
 
@@ -592,8 +559,7 @@ def mean_exit_time(
     flagged rather than silently dropped.
     """
     batch = sample_exits(
-        m, x0, d, cfg, n_paths, n_workers=n_workers,
-        delta_band=delta_band, max_refine_levels=max_refine_levels,
+        m, x0, d, cfg, n_paths, n_workers=n_workers, delta_band=delta_band
     )
     mean = float(batch.tau.mean())
     se = float(batch.tau.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0

@@ -26,6 +26,7 @@ __all__ = [
     "frame_coefficients",
 ]
 
+# largest |e^H e - I| accepted of a start frame or a transport matrix
 UNITARITY_TOL = 1e-8
 # a frame whose smallest singular value is at most this fraction of its
 # largest is treated as singular
@@ -183,7 +184,6 @@ def parallel_transport(
     points: np.ndarray,
     v0: np.ndarray,
     velocities: np.ndarray | None = None,
-    unitarity_tol: float = UNITARITY_TOL,
 ) -> np.ndarray:
     """Parallel-transport frame coefficients v0 along a discretized curve.
 
@@ -191,7 +191,7 @@ def parallel_transport(
     classical RK4 with one step per curve interval; midpoint data is
     linearly interpolated.  The continuous flow is unitary, so the result
     preserves the norm of v0; if the integrated matrix drifts off the
-    unitary group beyond ``unitarity_tol`` a TransportPrecisionError asks
+    unitary group beyond UNITARITY_TOL a TransportPrecisionError asks
     for a finer curve.
     """
     times = np.asarray(times, dtype=float)
@@ -225,7 +225,7 @@ def parallel_transport(
         k_mat = k_mat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     defect = float(np.abs(np.conj(k_mat.T) @ k_mat - np.eye(m.n)).max())
-    if defect > unitarity_tol:
+    if defect > UNITARITY_TOL:
         raise TransportPrecisionError(
             f"transport matrix off the unitary group by {defect:.3e}; "
             "refine the curve discretization"

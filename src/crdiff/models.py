@@ -35,36 +35,41 @@ __all__ = [
 
 FD_STEP = 1e-5  # central-difference step for exterior derivatives and brackets
 
+# validate_model tolerances on the contact-form, Christoffel and dtheta residuals
+THETA_TOL = 1e-10
+ANTISYM_TOL = 1e-12
+DTHETA_TOL = 1e-8
+# largest |lam^H lam - I| that gauge_rotated_model accepts at its probe points
+GAUGE_UNITARITY_TOL = 1e-12
 
-def fd_stencil(x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+
+def fd_stencil(x: np.ndarray) -> np.ndarray:
     """Central-difference stencil of x, shape (..., D) -> (..., 2D, D).
 
-    Row j holds x + h e_j and row D + j holds x - h e_j.
+    Row j holds x + FD_STEP e_j and row D + j holds x - FD_STEP e_j.
     """
     x = np.asarray(x, dtype=float)
-    step = h * np.eye(x.shape[-1])
+    step = FD_STEP * np.eye(x.shape[-1])
     return np.concatenate([x[..., None, :] + step, x[..., None, :] - step], axis=-2)
 
 
-def fd_quotient(values: np.ndarray, axis: int, h: float = FD_STEP) -> np.ndarray:
+def fd_quotient(values: np.ndarray, axis: int) -> np.ndarray:
     """Central differences from values on a stencil laid out along ``axis``.
 
     The derivative index moves to the last axis.
     """
     forward, backward = np.split(values, 2, axis=axis)
-    return np.moveaxis((forward - backward) / (2.0 * h), axis, -1)
+    return np.moveaxis((forward - backward) / (2.0 * FD_STEP), axis, -1)
 
 
-def central_difference(
-    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = FD_STEP
-) -> np.ndarray:
+def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """d_j f(x) by central differences, shape (..., *out, D).
 
     f maps (..., D) to (..., *out) and must broadcast over leading axes:
     it is called once, on the stacked stencil of every point of x.
     """
     x = np.asarray(x, dtype=float)
-    return fd_quotient(f(fd_stencil(x, h)), x.ndim - 1, h)
+    return fd_quotient(f(fd_stencil(x)), x.ndim - 1)
 
 
 class ChartBoundsError(ValueError):
@@ -97,7 +102,8 @@ class ModelDescriptor:
     volume_density(x)  -> (...,) positive, density of the canonical volume
                           with respect to Lebesgue measure on the chart
     frame_jacobian(x)  -> (..., D, D, n), [k, j, a] = d_j (Z_{a+1})^k, or None
-    chart_bound        -> (D, 2) closed box of chart validity, or None
+    chart_bound        -> (D, 2) closed box of chart validity, or None; any
+                          array-like of that shape, stored as a float array
     flat_connection    -> True declares that christoffel vanishes everywhere.
                           Parallel transport is then the identity, and the
                           integrator carries the frame unchanged without
@@ -130,6 +136,14 @@ class ModelDescriptor:
     connection: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
+        if self.chart_bound is not None:
+            bound = np.asarray(self.chart_bound, dtype=float)
+            if bound.shape != (self.dim, 2):
+                raise ValueError(
+                    f"chart_bound of model '{self.name}' must have shape "
+                    f"({self.dim}, 2), got {bound.shape}"
+                )
+            object.__setattr__(self, "chart_bound", bound)
         if not self.flat_connection:
             return
         probe = np.linspace(0.1, 0.3, self.dim)
@@ -259,8 +273,6 @@ def gauge_rotated_model(
     base: ModelDescriptor,
     lam: Callable[[np.ndarray], np.ndarray],
     dlam: Callable[[np.ndarray], np.ndarray],
-    probe_points: np.ndarray | None = None,
-    unitarity_tol: float = 1e-12,
 ) -> ModelDescriptor:
     """Rewrite ``base`` in the rotated frame Z'_a = sum_b lam[a, b] Z_b.
 
@@ -274,18 +286,18 @@ def gauge_rotated_model(
     (zero on a flat base), so stepping never builds the rotated
     Christoffel tensor.
 
-    Raises ValueError if lam fails the unitarity probe.
+    Raises ValueError if lam fails the unitarity probe: the origin and
+    eight seeded points of [-1, 1]^D, tolerance GAUGE_UNITARITY_TOL.
     """
     n, dim = base.n, base.dim
     eye = np.eye(n)
-    if probe_points is None:
-        rng = np.random.default_rng(20260808)
-        probe_points = np.concatenate(
-            [np.zeros((1, dim)), rng.uniform(-1.0, 1.0, size=(8, dim))], axis=0
-        )
-    lam_probe = lam(np.asarray(probe_points, dtype=float))
+    rng = np.random.default_rng(20260808)
+    probe_points = np.concatenate(
+        [np.zeros((1, dim)), rng.uniform(-1.0, 1.0, size=(8, dim))], axis=0
+    )
+    lam_probe = lam(probe_points)
     resid = np.abs(np.swapaxes(lam_probe.conj(), -1, -2) @ lam_probe - eye).max()
-    if resid > unitarity_tol:
+    if resid > GAUGE_UNITARITY_TOL:
         raise ValueError(
             f"gauge map is not unitary at a probed point (residual {resid:.3e})"
         )
@@ -428,14 +440,9 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def theta_jacobian_fd(m: ModelDescriptor, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """d_j theta_k by central differences, shape (..., k, j)."""
-    return central_difference(m.theta, x, h)
-
-
 def _theta_antisym(m: ModelDescriptor, x: np.ndarray) -> np.ndarray:
-    """d_j theta_k - d_k theta_j, shape (..., k, j)."""
-    jac = theta_jacobian_fd(m, x)
+    """d_j theta_k - d_k theta_j, shape (..., k, j), by central differences."""
+    jac = central_difference(m.theta, x)
     return jac - np.swapaxes(jac, -1, -2)
 
 
@@ -450,20 +457,15 @@ def levi_gram(m: ModelDescriptor, x: np.ndarray) -> np.ndarray:
     return _levi_contraction(m.frame(x), _theta_antisym(m, x))
 
 
-def validate_model(
-    m: ModelDescriptor,
-    points: np.ndarray,
-    theta_tol: float = 1e-10,
-    antisym_tol: float = 1e-12,
-    dtheta_tol: float = 1e-8,
-) -> ValidationReport:
+def validate_model(m: ModelDescriptor, points: np.ndarray) -> ValidationReport:
     """Check the pseudo-Hermitian contract of a model at sample points.
 
     Reports max residuals of theta(Z_a) = 0, theta(T) = 1, the Christoffel
     antisymmetry, transversality dtheta(T, .) = 0, and positive
     definiteness of the Levi gram.  The Levi constant is deliberately not
     pinned: only positivity (and the condition number) is asserted, since
-    the overall scale is a convention of the contact form.
+    the overall scale is a convention of the contact form.  The
+    tolerances are THETA_TOL, ANTISYM_TOL and DTHETA_TOL.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m.require_inside(points)
@@ -492,13 +494,11 @@ def validate_model(
     max_cond = float((eigs.max(axis=-1) / eigs.min(axis=-1)).max()) if min_eig > 0 else float("inf")
 
     checks = (
-        CheckResult("theta(Z_a) = 0", r_frame, theta_tol, r_frame <= theta_tol),
-        CheckResult("theta(T) = 1", r_trans, theta_tol, r_trans <= theta_tol),
-        CheckResult("christoffel antisymmetry", r_anti, antisym_tol, r_anti <= antisym_tol),
-        CheckResult("dtheta(T, .) = 0", r_dth, dtheta_tol, r_dth <= dtheta_tol),
-        CheckResult(
-            "levi gram hermitian", herm, dtheta_tol, herm <= dtheta_tol
-        ),
+        CheckResult("theta(Z_a) = 0", r_frame, THETA_TOL, r_frame <= THETA_TOL),
+        CheckResult("theta(T) = 1", r_trans, THETA_TOL, r_trans <= THETA_TOL),
+        CheckResult("christoffel antisymmetry", r_anti, ANTISYM_TOL, r_anti <= ANTISYM_TOL),
+        CheckResult("dtheta(T, .) = 0", r_dth, DTHETA_TOL, r_dth <= DTHETA_TOL),
+        CheckResult("levi gram hermitian", herm, DTHETA_TOL, herm <= DTHETA_TOL),
         CheckResult(
             "levi gram positive definite",
             -min_eig,

@@ -171,8 +171,7 @@ def _bandwidth(samples: np.ndarray, rule) -> np.ndarray:
 KDE_CHUNK = 2048
 
 
-def _kde_eval(samples: np.ndarray, points: np.ndarray, bw: np.ndarray,
-              chunk: int = KDE_CHUNK) -> np.ndarray:
+def _kde_eval(samples: np.ndarray, points: np.ndarray, bw: np.ndarray) -> np.ndarray:
     """Product-Gaussian KDE of samples evaluated at points (Lebesgue density)."""
     m_count, _dim = samples.shape
     norm = m_count * np.prod(bw * np.sqrt(2.0 * np.pi))
@@ -180,10 +179,10 @@ def _kde_eval(samples: np.ndarray, points: np.ndarray, bw: np.ndarray,
     s_sq = np.einsum("md,md->m", s, s)
     p = points / bw
     out = np.empty(points.shape[0])
-    for lo in range(0, points.shape[0], chunk):
-        pc = p[lo : lo + chunk]
+    for lo in range(0, points.shape[0], KDE_CHUNK):
+        pc = p[lo : lo + KDE_CHUNK]
         d2 = np.einsum("qd,qd->q", pc, pc)[:, None] + s_sq[None, :] - 2.0 * (pc @ s.T)
-        out[lo : lo + chunk] = np.exp(-0.5 * np.maximum(d2, 0.0)).sum(axis=1)
+        out[lo : lo + KDE_CHUNK] = np.exp(-0.5 * np.maximum(d2, 0.0)).sum(axis=1)
     return out / norm
 
 

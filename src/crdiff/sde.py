@@ -33,7 +33,6 @@ __all__ = [
     "Path",
     "Records",
     "Ensemble",
-    "sample_increment",
     "driving_increments",
     "step",
     "simulate_path",
@@ -155,15 +154,6 @@ class Ensemble:
     @property
     def capped_fraction(self) -> float:
         return float(np.mean(self.status == STATUS_CAPPED))
-
-
-def sample_increment(rng: np.random.Generator, dt: float, n: int, size: int | None = None) -> np.ndarray:
-    """Complex Brownian increments with E[dB conj(dB)] = dt, E[dB^2] = 0."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    shape = (n,) if size is None else (size, n)
-    g = rng.standard_normal(shape[:-1] + (2 * n,))
-    return (g[..., :n] + 1j * g[..., n:]) * np.sqrt(dt / 2.0)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

@@ -52,6 +52,29 @@ def test_negative_steps_rejected_with_key_name(capsys):
     assert "steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, key", [
+    ("simulate --start a,b,c", "start"),
+    ("charfn --lambdas x", "lambdas"),
+    ("density --bandwidth 1,x,2", "bandwidth"),
+    ("density --bandwidth 1,2", "bandwidth"),
+    ("density --bandwidth 1,-2,1", "bandwidth"),
+    ("dirichlet --domain koranyi:abc", "domain"),
+    ("dirichlet --domain koranyi:-1", "domain"),
+    ("dirichlet --data const:x", "data"),
+    ("check-smoothness --point 1,2", "point"),
+])
+def test_malformed_value_is_config_error(argv, key, tmp_path, capsys, monkeypatch):
+    """A malformed value exits 2 naming its key, before any path is run."""
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths simulated before the value was checked")
+
+    monkeypatch.setattr(cli, "simulate_ensemble", no_paths)
+    monkeypatch.setattr(cli, "solve_dirichlet", no_paths)
+    code = main(argv.split() + ["--output", str(tmp_path / "out.csv")])
+    assert code == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+
+
 def test_unknown_file_key_rejected(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("[run]\ncommand = simulate\nstepz = 10\n")

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import crdiff.dirichlet as dirichlet
 from crdiff import (
     SimConfig,
     exit_sample,
@@ -34,14 +35,6 @@ def test_domain_geometry():
     assert BALL.phi_at(np.zeros(3)) == pytest.approx(-1.0)
     assert BALL.phi_at(np.array([0.0, 0.0, 1.0])) == pytest.approx(0.0)
     assert bool(BALL.contains(np.array([0.3, 0.0, 0.0])))
-    grad = BALL.grad_at(np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(grad, [4.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_domain_fd_gradient_fallback():
-    bare = Domain(name="bare", phi=BALL.phi)
-    x = np.array([0.5, -0.3, 0.4])
-    np.testing.assert_allclose(bare.grad_at(x), BALL.grad_at(x), atol=1e-6)
 
 
 def test_exit_from_outside_is_instant(heis1):
@@ -226,14 +219,23 @@ def test_deep_interior_point_stays(heis1):
     assert (batch.status == STATUS_EXITED).mean() == 0.0
 
 
-def test_exits_require_domain_inside_chart(heis1):
+def test_exits_require_domain_inside_chart(heis1, gauge1):
     """Exit paths are stepped until they leave the domain, so a domain
     reaching past the chart bound is refused: unchecked, all 200 paths of
-    this run read exited at points outside the chart."""
+    this run read exited at points outside the chart.  The bound may be
+    given as nested lists, on a flat or a gauge model, but only of shape
+    (D, 2)."""
     m = dataclasses.replace(heis1, chart_bound=np.array([[-0.5, 0.5]] * 3))
     cfg = SimConfig(t_horizon=4.0, n_steps=800, seed=0)
     with pytest.raises(ValueError, match="not inside the chart"):
         sample_exits(m, np.zeros(3), BALL, cfg, 200)
+    for base in (heis1, gauge1):
+        listed = dataclasses.replace(base, chart_bound=[[-0.5, 0.5]] * 3)
+        assert listed.chart_bound.dtype == float
+        with pytest.raises(ValueError, match="not inside the chart"):
+            sample_exits(listed, np.zeros(3), BALL, cfg, 20)
+    with pytest.raises(ValueError, match="must have shape"):
+        dataclasses.replace(heis1, chart_bound=[[-0.5, 0.5]] * 2)
     unboxed = Domain(name="ball without box", phi=BALL.phi)
     with pytest.raises(ValueError, match="not inside the chart"):
         sample_exits(m, np.zeros(3), unboxed, cfg, 200)
@@ -285,12 +287,14 @@ def test_nonfinite_during_refinement(heis1, nan_beyond):
     assert (batch.phi_residual[bad] < 0).all()
 
 
-def test_level_budget_exits_counted(heis1):
+def test_level_budget_exits_counted(heis1, monkeypatch):
     """With two refinement levels some exits are accepted outside the
     collar; with the default budget none are."""
     f = lambda x: x[..., 0]
     cfg = SimConfig(t_horizon=4.0, n_steps=400, seed=319)
-    res = solve_dirichlet(heis1, BALL, f, np.zeros(3), 200, cfg, max_refine_levels=2)
+    with monkeypatch.context() as patched:
+        patched.setattr(dirichlet, "MAX_REFINE_LEVELS", 2)
+        res = solve_dirichlet(heis1, BALL, f, np.zeros(3), 200, cfg)
     batch = res.batch
     outside = batch.exited & (np.abs(batch.phi_residual) > DELTA_BAND)
     assert res.level_budget_exits == outside.sum() > 0

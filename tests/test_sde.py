@@ -10,7 +10,6 @@ from crdiff import (
     FrameState,
     SimConfig,
     phase_rotated_heisenberg,
-    sample_increment,
     semigroup_average,
     simulate_ensemble,
     simulate_path,
@@ -56,11 +55,15 @@ def test_config_dt():
 # --- increments --------------------------------------------------------------
 
 
+def _increments(dt, n, n_paths, seed):
+    """One step of the seeded block stream for n_paths paths, (n_paths, n)."""
+    return driving_increments(SimConfig(t_horizon=dt, n_steps=1, seed=seed), n_paths, n)[:, 0]
+
+
 def test_increment_covariance():
     """Mixed second moment dt, pseudo-moment zero, within 4 standard errors."""
-    rng = np.random.default_rng(14)
     dt = 0.01
-    db = sample_increment(rng, dt, 1, size=1_000_000)[:, 0]
+    db = _increments(dt, 1, 1_000_000, seed=14)[:, 0]
     m2 = np.abs(db) ** 2
     se2 = m2.std() / np.sqrt(m2.size)
     assert abs(m2.mean() - dt) < 4 * se2
@@ -70,23 +73,17 @@ def test_increment_covariance():
 
 
 def test_increment_cross_independence():
-    rng = np.random.default_rng(15)
-    db = sample_increment(rng, 0.5, 2, size=200_000)
+    db = _increments(0.5, 2, 200_000, seed=15)
     cross = db[:, 0] * np.conj(db[:, 1])
     for comp in (cross.real, cross.imag):
         assert abs(comp.mean()) < 4 * comp.std() / np.sqrt(comp.size)
 
 
 def test_increment_brownian_scaling():
-    rng = np.random.default_rng(16)
-    v_big = (np.abs(sample_increment(rng, 0.04, 1, size=400_000)) ** 2).mean()
-    v_small = (np.abs(sample_increment(rng, 0.01, 1, size=400_000)) ** 2).mean()
+    # two seeds: from one, both samples would be the same normals rescaled
+    v_big = (np.abs(_increments(0.04, 1, 400_000, seed=16)) ** 2).mean()
+    v_small = (np.abs(_increments(0.01, 1, 400_000, seed=17)) ** 2).mean()
     assert v_big / v_small == pytest.approx(4.0, rel=0.02)
-
-
-def test_increment_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        sample_increment(np.random.default_rng(0), 0.0, 1)
 
 
 # --- single steps ------------------------------------------------------------
