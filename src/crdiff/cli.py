@@ -35,7 +35,7 @@ from .observables import (
     line_integral_ensemble,
     theta_form,
 )
-from .sde import STATUS_NAMES, SimConfig, simulate_ensemble
+from .sde import STATUS_NAMES, STATUS_NONFINITE, SimConfig, simulate_ensemble
 
 COMMANDS = (
     "simulate",
@@ -240,11 +240,13 @@ def _model(params):
 
 
 def _floats(key: str, raw: str, length: int | None = None) -> np.ndarray:
-    """The comma-separated numbers of key ``key``, optionally exactly ``length``."""
+    """The comma-separated finite numbers of key ``key``, optionally exactly ``length``."""
     try:
         vals = np.array([float(s) for s in raw.split(",")])
     except ValueError:
         raise ConfigError(f"key '{key}' needs comma-separated numbers, got {raw!r}") from None
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"key '{key}' needs finite numbers, got {raw!r}")
     if length is not None and vals.size != length:
         raise ConfigError(f"key '{key}' needs {length} comma-separated numbers, got {raw!r}")
     return vals
@@ -350,9 +352,10 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     out = _output_path(p, cfg.command)
     _write_csv(out, cfg, cols,
                [pid, rec.times[t_idx], *rec.x[t_idx, pid].T, *frame.T, status])
-    capped = ens.capped_fraction
+    nonfinite = np.count_nonzero(ens.status == STATUS_NONFINITE)
     print(f"simulate: {ens.n_paths} paths x {sim.n_steps} steps, "
-          f"capped {capped:.2%}, seed={p['seed']} -> {out}")
+          f"capped {ens.capped_fraction:.2%}, nonfinite {nonfinite}, "
+          f"seed={p['seed']} -> {out}")
     return 0 if ens.completed.any() else 1
 
 
@@ -384,7 +387,12 @@ def _cmd_density(cfg: RunConfig) -> int:
         lo, hi = samples.min(axis=0), samples.max(axis=0)
         pad = 0.05 * (hi - lo)
         window = np.stack([lo - pad, hi + pad], axis=1)
-    est = estimate_density(ens, m, window, grid_points=p["grid_points"], bandwidth=bw)
+    try:
+        est = estimate_density(ens, m, window, grid_points=p["grid_points"], bandwidth=bw)
+    except ValueError as exc:
+        # the explicit window holds no completed sample
+        print(f"density: {exc}", file=sys.stderr)
+        return 1
     # one row per grid node: its coordinates, then the density
     nodes = np.meshgrid(*est.axes, indexing="ij")
     table = [col.ravel() for col in (*nodes, est.values)]

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .models import ModelDescriptor
-from .sde import BLOCK, SimConfig, _block_rng, _heun, _map_blocks
+from .sde import SUB_BLOCK, SimConfig, _block_rng, _draw_normals, _heun, _map_blocks
 
 # Not called here (the Heun kernel is sde._heun), but kept as names of this
 # module because the benchmark tracer (bench/tracer.py) wraps them here.
@@ -44,7 +44,8 @@ __all__ = [
 ]
 
 DELTA_BAND = 1e-4
-# halvings of a crossing step before an exit outside the collar is accepted
+# halvings of a crossing step before an exit outside the collar is accepted;
+# below 2**8, the width of the level field of the refinement counter
 MAX_REFINE_LEVELS = 30
 
 STATUS_EXITED = 0
@@ -143,7 +144,9 @@ def _refine_events(
     e_pre: np.ndarray,
     db: np.ndarray,
     dt: float,
-    zdraws: np.ndarray,
+    key: list,
+    paths: np.ndarray,
+    steps: np.ndarray,
     delta_band: float,
     max_levels: int,
     reunitarize: bool,
@@ -157,7 +160,10 @@ def _refine_events(
     (or, past the level budget, the current overshoot) or, when the
     refined step turns out not to cross at all, a resume state at the end
     of the step.  A piece that ends non-finite settles the event as
-    nonfinite at the piece's start, the last finite state.
+    nonfinite at the piece's start, the last finite state.  Event c is
+    the crossing of path paths[c] at step steps[c]; each split draws its
+    normals from the Philox stream with round keys key (_refine_key), for
+    the splitting events only.
 
     Returns (kind, t_in_step, x_out, e_out, residual) arrays.
     """
@@ -224,7 +230,7 @@ def _refine_events(
         rem = outside & ~accept
         if rem.any():
             idx = act[rem]
-            g = zdraws[idx, level[idx]]
+            g = _event_zdraws(key, paths[idx], steps[idx], level[idx], n)
             zeta = (g[:, :n] + 1j * g[:, n:]) * np.sqrt(h[idx] / 8.0)[:, None]
             db1 = 0.5 * cur_db[idx] + zeta
             x_mid, e_mid = _heun(m, cur_x[idx], cur_e[idx], db1, reunitarize)
@@ -253,17 +259,75 @@ def _refine_events(
     return kind, out_t, out_x, out_e, out_r
 
 
-def _event_zdraws(seed: int, path_ids: np.ndarray, steps: np.ndarray,
-                  max_levels: int, n: int) -> np.ndarray:
-    out = np.empty((path_ids.size, max_levels, 2 * n))
-    for c in range(path_ids.size):
-        ss = np.random.SeedSequence(
-            entropy=int(seed), spawn_key=(1, int(path_ids[c]), int(steps[c]))
-        )
-        out[c] = np.random.Generator(np.random.PCG64(ss)).standard_normal(
-            (max_levels, 2 * n)
-        )
-    return out
+# Philox4x32-10 (Salmon et al. 2011, "Parallel random numbers: as easy
+# as 1, 2, 3"): round multipliers and Weyl key increments
+_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+
+
+def _philox_round_keys(key) -> list:
+    """The ten round keys of the Philox4x32-10 key (k0, k1), as uint64 pairs."""
+    k0, k1 = (int(k) for k in key)
+    rounds = []
+    for _ in range(10):
+        rounds.append((np.uint64(k0), np.uint64(k1)))
+        k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFF
+        k1 = (k1 + _PHILOX_W[1]) & 0xFFFFFFFF
+    return rounds
+
+
+def _philox4x32(ctr, round_keys):
+    """Philox4x32-10 of the counters ctr = (c0, c1, c2, c3).
+
+    The counter words are uint64 arrays (broadcast together) of values
+    below 2**32, products are taken in uint64; round_keys come from
+    _philox_round_keys.  Returns the four output words in the same form.
+    """
+    c0, c1, c2, c3 = ctr
+    for k0, k1 in round_keys:
+        p0, p1 = c0 * _PHILOX_M[0], c2 * _PHILOX_M[1]
+        c0, c1, c2, c3 = ((p1 >> _U32) ^ c1 ^ k0, p1 & _LO32,
+                          (p0 >> _U32) ^ c3 ^ k1, p0 & _LO32)
+    return c0, c1, c2, c3
+
+
+def _refine_key(seed: int) -> list:
+    """Round keys of the refinement stream of seed."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(1,))
+    return _philox_round_keys(ss.generate_state(2, np.uint32))
+
+
+def _event_zdraws(key, paths: np.ndarray, steps: np.ndarray,
+                  levels: np.ndarray, n: int) -> np.ndarray:
+    """Substep normals of C splits, shape (C, 2n).
+
+    Split c is the one at refinement level levels[c] of the crossing of
+    path paths[c] at step steps[c].  Normal pair j of it is one Philox
+    block at counter (level << 24 | j, step, path mod 2**32, path >> 32),
+    turned into two normals by Box-Muller on its two 53-bit uniforms, so
+    the counter is one-to-one for steps below 2**32, levels below 2**8
+    and n below 2**24.
+    """
+    lv = np.asarray(levels, dtype=np.uint64)[:, None]
+    p = np.asarray(paths, dtype=np.uint64)[:, None]
+    x0, x1, x2, x3 = _philox4x32(
+        ((lv << np.uint64(24)) | np.arange(n, dtype=np.uint64),
+         np.asarray(steps, dtype=np.uint64)[:, None], p & _LO32, p >> _U32),
+        key,
+    )
+    # two 53-bit uniforms per block, u1 in (0, 1] and u2 in [0, 1)
+    u1 = ((((x0 << _U32) | x1) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    angle = (((x2 << _U32) | x3) >> np.uint64(11)) * (2.0**-52 * np.pi)
+    r = np.sqrt(-2.0 * np.log(u1))
+    g = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
+    return g.reshape(len(lv), 2 * n)
+
+
+def _subs_of(rows: np.ndarray, n_sub: int) -> list:
+    """The sub-blocks, in order, that hold one of the block rows ``rows``."""
+    return np.flatnonzero(np.bincount(rows // SUB_BLOCK, minlength=n_sub)).tolist()
 
 
 def _exit_block(
@@ -280,14 +344,15 @@ def _exit_block(
 
     Runs in passes.  A pass steps only the live rows and sets each
     crossing row aside at its crossing step; the batched refinement then
-    settles the crossings (exit or resume).  A resumed path re-enters the
-    next pass at the step after its crossing, with the block generator
-    restored to the state saved right after that step's draw, so every
-    path consumes exactly the increments of its slot and no pass replays
-    the stream from step 0.  Each resume moves a path forward by at least
-    one step, so the passes end.  A row whose phi turns NaN or infinite
-    leaves the live set at once, retired as nonfinite at its last finite
-    state.
+    settles the crossings (exit or resume).  Each step draws noise only
+    for the sub-blocks that hold a live row.  A resumed path re-enters the
+    next pass at the step after its crossing, with its sub-block's
+    generator restored to the state saved right after that step's draw,
+    so every path consumes exactly the increments of its slot and no pass
+    replays the stream from step 0.  Each resume moves a path forward by
+    at least one step, so the passes end.  A row whose phi turns NaN or
+    infinite leaves the live set at once, retired as nonfinite at its
+    last finite state.
     """
     n = m.n
     p_count = x0.shape[0]
@@ -300,6 +365,7 @@ def _exit_block(
     resid = d.phi_at(x)
     reunit_every = cfg.reunitarize_every
     scale = np.sqrt(dt / 2.0)
+    key = _refine_key(cfg.seed)
 
     instant = resid > 0
     tau[instant] = 0.0
@@ -307,10 +373,12 @@ def _exit_block(
     pending = ~instant
     start_step = np.zeros(p_count, dtype=np.int64)
 
-    rng = _block_rng(cfg.seed, block)
-    # generator state before the draw of step k, for every step k at which
-    # a path enters the coming pass
-    saved = {0: rng.bit_generator.state}
+    n_sub = -(-p_count // SUB_BLOCK)
+    rngs = [_block_rng(cfg.seed, block, s) for s in range(n_sub)]
+    g = np.empty((n_sub * SUB_BLOCK, 2 * n))
+    # state of sub-block s's generator before the draw of step k, keyed
+    # (s, k), for every step k at which a path of s enters the coming pass
+    saved = {(s, 0): rng.bit_generator.state for s, rng in enumerate(rngs)}
 
     while pending.any():
         rows = np.flatnonzero(pending)
@@ -321,20 +389,24 @@ def _exit_block(
         crossings = []
         live = np.empty(0, dtype=np.int64)
         k = int(entry[0])
-        rng.bit_generator.state = saved[k]
 
         while k < n_steps:
             if k in joins:
-                live = np.sort(np.concatenate([live, joins.pop(k)]))
+                new = joins.pop(k)
+                # a sub-block live at k has made exactly k draws, so the
+                # restore only moves the generators of idle sub-blocks
+                for s in _subs_of(new, n_sub):
+                    rngs[s].bit_generator.state = saved[(s, k)]
+                live = np.sort(np.concatenate([live, new]))
+                subs = _subs_of(live, n_sub)
             elif not live.size:
-                # nothing to step until the next entry: jump to its state
+                # nothing to step until the next entry
                 if not joins:
                     break
                 k = min(joins)
-                rng.bit_generator.state = saved[k]
                 continue
-            g = rng.standard_normal((BLOCK, 2 * n))[live]
-            db = (g[:, :n] + 1j * g[:, n:]) * scale
+            gl = _draw_normals(rngs, g, subs)[live]
+            db = (gl[:, :n] + 1j * gl[:, n:]) * scale
             reunit = bool(reunit_every) and (k + 1) % reunit_every == 0
             x_new, e_new = _heun(m, x[live], e[live], db, reunit)
             phi = d.phi_at(x_new)
@@ -351,9 +423,11 @@ def _exit_block(
                 if crossed.any():
                     idx = live[crossed]
                     crossings.append((idx, k, x[idx], e[idx], db[crossed]))
-                    next_saved[k + 1] = rng.bit_generator.state
+                    for s in _subs_of(idx, n_sub):
+                        next_saved[(s, k + 1)] = rngs[s].bit_generator.state
                 keep = ~gone
                 live, x_new, e_new = live[keep], x_new[keep], e_new[keep]
+                subs = _subs_of(live, n_sub)
             x[live], e[live] = x_new, e_new
             k += 1
 
@@ -366,14 +440,12 @@ def _exit_block(
         if crossings:
             idx = np.concatenate([c[0] for c in crossings])
             steps = np.concatenate([np.full(c[0].size, c[1]) for c in crossings])
-            zdraws = _event_zdraws(
-                cfg.seed, idx + path_offset, steps, max_levels, n
-            )
             kind, t_in, x_out, e_out, r_out = _refine_events(
                 m, d,
                 np.concatenate([c[2] for c in crossings]),
                 np.concatenate([c[3] for c in crossings]),
-                np.concatenate([c[4] for c in crossings]), dt, zdraws,
+                np.concatenate([c[4] for c in crossings]), dt,
+                key, idx + path_offset, steps,
                 delta_band, max_levels, bool(reunit_every),
             )
             settled = kind != REFINE_RESUME
@@ -410,14 +482,17 @@ def sample_exits(
     """First-exit samples of the diffusion started from x0 with frame I.
 
     x0 may be a single point (shared by all paths) or one point per path
-    of shape (n_paths, D).  Uses the same block seed rule as the plain
+    of shape (n_paths, D).  Uses the same sub-block seed rule as the plain
     simulators, so results are reproducible for any worker count.  On a
     model with a chart bound the domain's bounding box must lie inside it,
     since exit paths are stepped until they leave the domain.  A crossing
-    step is halved at most MAX_REFINE_LEVELS times.
+    step is halved at most MAX_REFINE_LEVELS times.  The refinement
+    counter holds the crossing step in 32 bits, so n_steps <= 2**32.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if cfg.n_steps > 2**32:
+        raise ValueError("exit sampling needs n_steps <= 2**32")
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
         starts = np.broadcast_to(x0, (n_paths, x0.size))

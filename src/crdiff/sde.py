@@ -7,14 +7,17 @@ normals.  Steps use the Heun predictor-corrector, which integrates the
 Stratonovich equation without derivatives of the coefficient fields.
 
 Reproducibility rule: paths are grouped into fixed blocks of BLOCK
-slots; block b draws from PCG64 seeded by SeedSequence(seed,
-spawn_key=(0, b)), one standard_normal((BLOCK, 2n)) call per step, path
-p occupying slot p % BLOCK.  Every path is therefore a pure function of
-(seed, path index, config): results cannot depend on worker count,
-scheduling, or the total number of paths.  Exit-time refinement (see
-dirichlet) draws its substep normals per crossing event: one
-standard_normal((max_levels, 2n)) call from PCG64 seeded by
-SeedSequence(seed, spawn_key=(1, path index, crossing step)).
+slots, path p occupying slot p % BLOCK of block p // BLOCK, and each
+block into sub-blocks of SUB_BLOCK slots.  Sub-block s of block b draws
+from PCG64 seeded by SeedSequence(seed, spawn_key=(0, b, s)), one
+standard_normal((SUB_BLOCK, 2n)) call per step while it holds a live
+path; a sub-block whose paths have all stopped draws nothing more.  Every
+path is therefore a pure function of (seed, path index, config): results
+cannot depend on worker count, scheduling, or the total number of paths,
+and the noise drawn per step is proportional to the live sub-blocks, not
+to the block.  Exit-time refinement (see dirichlet) draws its substep
+normals from a counter-based Philox4x32-10 keyed by the seed, one counter
+per (path index, crossing step, split level, normal pair).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .models import ModelDescriptor
 
 __all__ = [
     "BLOCK",
+    "SUB_BLOCK",
     "SimConfig",
     "Path",
     "Records",
@@ -41,6 +45,9 @@ __all__ = [
 ]
 
 BLOCK = 4096
+# slots per noise stream: a step draws SUB_BLOCK rows per sub-block that
+# still holds a live path (512 was faster than 256 or 4096 on exit runs)
+SUB_BLOCK = 512
 
 STATUS_COMPLETED = 0
 STATUS_CAPPED = 1
@@ -48,10 +55,12 @@ STATUS_NONFINITE = 2
 STATUS_NAMES = ("completed", "capped", "nonfinite")
 
 SEED_RULE = (
-    "block b: PCG64(SeedSequence(seed, spawn_key=(0, b))), "
-    f"one standard_normal(({BLOCK}, 2n)) per step, path p in slot p % {BLOCK}; "
+    f"block b = p // {BLOCK}, slot p % {BLOCK}; sub-block s of {SUB_BLOCK} slots: "
+    "PCG64(SeedSequence(seed, spawn_key=(0, b, s))), "
+    f"one standard_normal(({SUB_BLOCK}, 2n)) per step while s holds a live path; "
     "increment = (g[:n] + i g[n:]) sqrt(dt/2); refinement of path p crossing at "
-    "step k: one standard_normal((max_levels, 2n)) from spawn_key=(1, p, k)"
+    "step k: Philox4x32-10 keyed by SeedSequence(seed, spawn_key=(1,)), "
+    "counter (level << 24 | pair, k, p mod 2**32, p >> 32), Box-Muller"
 )
 
 
@@ -156,17 +165,38 @@ class Ensemble:
         return float(np.mean(self.status == STATUS_CAPPED))
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(0, int(block)))
+def _block_rng(seed: int, block: int, sub: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(0, int(block), int(sub)))
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _draw_normals(rngs, g: np.ndarray, subs) -> np.ndarray:
+    """One step of standard normals for the sub-blocks ``subs`` of a block.
+
+    rngs[s] is the generator of sub-block s and fills rows s * SUB_BLOCK
+    to (s + 1) * SUB_BLOCK of g, shape (len(rngs) * SUB_BLOCK, 2n), in
+    place; rows of the other sub-blocks keep their values.  Returns g.
+    """
+    for s in subs:
+        rngs[s].standard_normal(out=g[s * SUB_BLOCK:(s + 1) * SUB_BLOCK])
+    return g
+
+
 def _seeded_draw_fn(seed: int, block: int, n: int, dt: float, n_active: int):
-    rng = _block_rng(seed, block)
+    """draw(k, active) -> increments of the n_active slots of a block.
+
+    active is a bool mask over the slots; only the sub-blocks holding an
+    active slot draw, and the rows of the others hold stale values.
+    """
+    n_sub = -(-n_active // SUB_BLOCK)
+    rngs = [_block_rng(seed, block, s) for s in range(n_sub)]
+    g = np.empty((n_sub * SUB_BLOCK, 2 * n))
+    starts = np.arange(0, n_active, SUB_BLOCK)
     scale = np.sqrt(dt / 2.0)
 
-    def draw(_k: int) -> np.ndarray:
-        g = rng.standard_normal((BLOCK, 2 * n))
+    def draw(_k: int, active: np.ndarray) -> np.ndarray:
+        subs = np.flatnonzero(np.logical_or.reduceat(active, starts)).tolist()
+        _draw_normals(rngs, g, subs)
         return (g[:n_active, :n] + 1j * g[:n_active, n:]) * scale
 
     return draw
@@ -182,8 +212,9 @@ def driving_increments(cfg: SimConfig, n_paths: int, n: int) -> np.ndarray:
 
     def fill(block: int, lo: int, hi: int) -> None:
         draw = _seeded_draw_fn(cfg.seed, block, n, cfg.dt, hi - lo)
+        every = np.ones(hi - lo, dtype=bool)
         for k in range(cfg.n_steps):
-            out[lo:hi, k, :] = draw(k)
+            out[lo:hi, k, :] = draw(k, every)
 
     _map_blocks(fill, n_paths, 1)
     return out
@@ -255,10 +286,11 @@ def _run_block(
 ):
     """Vectorized Heun loop over one batch of paths.
 
-    x0: (P, D), e0: (P, n, n).  Returns (x, e, status, steps_taken,
-    records, increments).  Paths that leave the coordinate cap or the
-    chart bound, or whose state turns non-finite, are frozen at their last
-    valid state and flagged.
+    x0: (P, D), e0: (P, n, n); draw_fn(k, active) gives the (P, n)
+    increments of step k, where active masks the rows still stepping.
+    Returns (x, e, status, steps_taken, records, increments).  Paths that
+    leave the coordinate cap or the chart bound, or whose state turns
+    non-finite, are frozen at their last valid state and flagged.
     """
     n_steps, dt = cfg.n_steps, cfg.dt
     p_count = x0.shape[0]
@@ -284,7 +316,7 @@ def _run_block(
     for k in range(n_steps):
         if not active.any():
             break
-        db = draw_fn(k)
+        db = draw_fn(k, active)
         if collect_increments:
             inc_list.append(db.copy())
         x_new, e_new = _heun(
@@ -392,7 +424,7 @@ def simulate_ensemble(
 ) -> Ensemble:
     """Simulate n_paths independent trajectories from a common start.
 
-    Paths are independent through the per-block seed rule; execution is
+    Paths are independent through the sub-block seed rule; execution is
     embarrassingly parallel over blocks and the result is bitwise
     identical for any n_workers.  observer_factories maps names to
     callables f(n_slots) returning streaming per-step accumulators with a
@@ -446,7 +478,7 @@ def simulate_with_increments(
     x0 = np.repeat(s0.x[None].astype(float), p_count, axis=0)
     e0 = np.repeat(s0.e[None].astype(complex), p_count, axis=0)
     out = _run_block(
-        m, x0, e0, cfg, lambda k: increments[:, k, :], record=record,
+        m, x0, e0, cfg, lambda k, _active: increments[:, k, :], record=record,
     )
     x, e, st, steps, rec, _ = out
     return Ensemble(

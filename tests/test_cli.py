@@ -62,6 +62,11 @@ def test_negative_steps_rejected_with_key_name(capsys):
     ("dirichlet --domain koranyi:-1", "domain"),
     ("dirichlet --data const:x", "data"),
     ("check-smoothness --point 1,2", "point"),
+    ("simulate --start nan,0,0", "start"),
+    ("simulate --start 0,-inf,0", "start"),
+    ("charfn --lambdas 1,inf", "lambdas"),
+    ("density --bandwidth 1,nan,1", "bandwidth"),
+    ("check-smoothness --point 0,0,inf", "point"),
 ])
 def test_malformed_value_is_config_error(argv, key, tmp_path, capsys, monkeypatch):
     """A malformed value exits 2 naming its key, before any path is run."""
@@ -155,6 +160,34 @@ def test_simulate_worker_bytes_identical(tmp_path):
         assert main(args) == 0
         outs.append(_read(out))
     assert outs[0] == outs[1]
+
+
+def test_simulate_summary_counts_nonfinite_paths(tmp_path, capsys, monkeypatch,
+                                                 nan_beyond):
+    """Paths that turn NaN are named in the summary line, beside capped."""
+    heisenberg = cli.heisenberg_model
+    monkeypatch.setattr(cli, "heisenberg_model",
+                        lambda n: nan_beyond(heisenberg(n), 0.6))
+    out = tmp_path / "sim.csv"
+    args = f"simulate --paths 50 --steps 40 --seed 5 --output {out}".split()
+    assert main(args) == 0
+    summary = capsys.readouterr().out
+    assert "capped 0.00%, nonfinite " in summary
+    count = int(summary.split("nonfinite ")[1].split(",")[0])
+    assert 0 < count < 50
+
+
+def test_density_empty_window_is_runtime_failure(tmp_path, capsys):
+    """An explicit window with no completed sample inside exits 1 with one
+    line on stderr, not a traceback."""
+    out = tmp_path / "dens.csv"
+    args = (f"density --paths 200 --steps 10 --window=5:6,5:6,5:6 "
+            f"--output {out}").split()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("density: ") and "window" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_density_command(tmp_path):

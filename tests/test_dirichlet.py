@@ -245,6 +245,57 @@ def test_exits_require_domain_inside_chart(heis1, gauge1):
     assert m.inside_chart(batch.points).all()
 
 
+# --- refinement normals: Philox4x32-10 -----------------------------------------------
+
+# Random123 known-answer vectors: counter words, key words, output words
+PHILOX_KAT = [
+    ("00000000 00000000 00000000 00000000", "00000000 00000000",
+     "6627e8d5 e169c58d bc57ac4c 9b00dbd8"),
+    ("ffffffff ffffffff ffffffff ffffffff", "ffffffff ffffffff",
+     "408f276d 41c83b0e a20bc7c6 6d5451fd"),
+    ("243f6a88 85a308d3 13198a2e 03707344", "a4093822 299f31d0",
+     "d16cfe09 94fdcceb 5001e420 24126ea1"),
+]
+
+
+@pytest.mark.parametrize("ctr, key, want", PHILOX_KAT)
+def test_philox4x32_known_answers(ctr, key, want):
+    def words(hexes):
+        return [int(w, 16) for w in hexes.split()]
+
+    out = dirichlet._philox4x32(
+        tuple(np.array([w], dtype=np.uint64) for w in words(ctr)),
+        dirichlet._philox_round_keys(words(key)))
+    assert [int(o[0]) for o in out] == words(want)
+
+
+def test_refinement_normals_moments():
+    """The refinement normals are standard normal and uncorrelated across
+    normal index, split level, crossing step and path."""
+    p_count, levels, n = 20_000, 4, 2
+    paths = np.repeat(np.arange(p_count), levels)
+    lv = np.tile(np.arange(levels), p_count)
+    key = dirichlet._refine_key(7)
+    g = dirichlet._event_zdraws(key, paths, paths % 97, lv, n)
+    z = g.ravel()
+    se = 1.0 / np.sqrt(z.size)
+    assert abs(z.mean()) < 4 * se
+    assert abs(z.var() - 1.0) < 4 * np.sqrt(2.0) * se
+    assert abs((z**4).mean() - 3.0) < 4 * np.sqrt(96.0) * se
+    # columns: (level, normal index) pairs; rows: paths
+    cols = g.reshape(p_count, levels * 2 * n)
+    corr = np.corrcoef(cols.T)[~np.eye(cols.shape[1], dtype=bool)]
+    assert np.abs(corr).max() < 4.5 / np.sqrt(p_count)
+    neighbours = np.corrcoef(cols[:-1].ravel(), cols[1:].ravel())[0, 1]
+    assert abs(neighbours) < 4.5 / np.sqrt(cols[1:].size)
+    # the same split of the same path at another crossing step
+    other = dirichlet._event_zdraws(key, paths, paths % 97 + 1, lv, n).ravel()
+    assert abs(np.corrcoef(z, other)[0, 1]) < 4.5 * se
+    # and another seed
+    other = dirichlet._event_zdraws(dirichlet._refine_key(8), paths, paths % 97, lv, n)
+    assert abs(np.corrcoef(z, other.ravel())[0, 1]) < 4.5 * se
+
+
 # --- non-finite paths and the refinement level budget -----------------------------
 
 

@@ -10,6 +10,7 @@ from crdiff import (
     FrameState,
     SimConfig,
     phase_rotated_heisenberg,
+    sde,
     semigroup_average,
     simulate_ensemble,
     simulate_path,
@@ -152,7 +153,7 @@ def test_singular_frame_rows_retired_nonfinite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x, e, status, steps, _rec, _inc = _run_block(
-            m, x0, e0, cfg, lambda k: inc[:, k])
+            m, x0, e0, cfg, lambda k, _active: inc[:, k])
     assert [STATUS_NAMES[s] for s in status] == ["completed", "nonfinite", "completed"]
     assert steps[1] == 0 and (e[1] == 0).all()
     ref = simulate_with_increments(m, FrameState(np.zeros(5), np.eye(2)), cfg, inc)
@@ -349,23 +350,47 @@ def test_gauge_invariance_in_law(heis1, gauge1):
 
 
 @pytest.mark.slow
-def test_levy_area_law_crosschecked_by_finer_run(heis1):
+def test_levy_area_law_crosschecked_by_finer_run(heis1, monkeypatch):
     """Vertical coordinate: variance t^2 and sech characteristic function.
 
     The same statistics are computed at a 10x finer step as an
-    integrator-independent cross-check of the reference values.
+    integrator-independent cross-check of the reference values.  The
+    coarse/fine variance comparison drives the coarse step with the fine
+    run's own Brownian paths, summed over ten steps, so that it measures
+    the step size and not the sampling noise of two independent ensembles.
     """
     lam = 1.0
+    p_count = 12_000
+    coupled = np.zeros((p_count, 250, 1), dtype=complex)
+    seeded_draw_fn = sde._seeded_draw_fn
+
+    def summing_draw_fn(seed, block, n, dt, n_active):
+        draw = seeded_draw_fn(seed, block, n, dt, n_active)
+        lo = block * BLOCK
+
+        def summed(k, active):
+            inc = draw(k, active)
+            coupled[lo:lo + n_active, k // 10] += inc
+            return inc
+
+        return summed
+
     stats = {}
     for steps, seed in ((250, 81), (2500, 82)):
         cfg = SimConfig(t_horizon=1.0, n_steps=steps, seed=seed)
-        ens = simulate_ensemble(heis1, ORIGIN1, cfg, 12_000)
+        with monkeypatch.context() as mp:
+            if steps == 2500:
+                mp.setattr(sde, "_seeded_draw_fn", summing_draw_fn)
+            ens = simulate_ensemble(heis1, ORIGIN1, cfg, p_count)
+        assert ens.completed.all()
         tau = ens.x[:, 2]
         stats[steps] = (tau.var(ddof=1), np.exp(1j * lam * tau).mean())
     for steps, (var, cf) in stats.items():
         assert abs(var - 1.0) < 0.05, (steps, var)
         assert abs(cf - 1.0 / np.cosh(lam)) < 0.02, (steps, cf)
-    assert abs(stats[250][0] - stats[2500][0]) < 0.04
+    cfg = SimConfig(t_horizon=1.0, n_steps=250, seed=82)
+    coarse = simulate_with_increments(heis1, ORIGIN1, cfg, coupled).x[:, 2]
+    assert abs(coarse.var(ddof=1) - stats[2500][0]) < 0.04
 
 
 def test_weak_self_convergence_ratio(heis1):
