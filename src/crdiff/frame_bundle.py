@@ -31,6 +31,9 @@ UNITARITY_TOL = 1e-8
 # a frame whose smallest singular value is at most this fraction of its
 # largest is treated as singular
 SINGULAR_RTOL = 1e3 * np.finfo(float).eps
+# one complex zero in an immutable buffer: the flat connection's de is a
+# read-only view of it with zero strides, so no batch allocates one
+_ZERO = bytes(np.dtype(complex).itemsize)
 
 
 class TransportPrecisionError(RuntimeError):
@@ -73,19 +76,21 @@ def velocity_arrays(
 
     x: (..., D) real, e: (..., n, n) complex, xi: (..., n) complex.
     Returns (dx, de) with dx real of shape (..., D) and de complex of
-    shape (..., n, n).  dx is the real part of the moved frame direction
-    taken twice, which is identically real; de solves the parallelism
+    shape (..., n, n).  dx = 2 Re(Z w) is the moved frame direction plus
+    its conjugate (m.base_velocity: the model's frame action, or the frame
+    contraction for a model without one); de solves the parallelism
     constraint de = -G e with G the connection form along dx
     (m.connection_form: the model's connection evaluator, or the
     Christoffel contraction for a model without one).  On a model with a
-    flat connection G = 0: de is zero and neither is evaluated.
+    flat connection G = 0: de is a read-only broadcast zero and neither is
+    evaluated.
     """
     n = m.n
-    z = m.frame(x)                                        # (..., D, n)
     w = np.einsum("...ba,...a->...b", e, xi)              # frame coefficients
-    dx = 2.0 * np.real(np.einsum("...kb,...b->...k", z, w))
+    dx = m.base_velocity(x, w)
     if m.flat_connection:
-        return dx, np.zeros(dx.shape[:-1] + (n, n), dtype=complex)
+        shape = dx.shape[:-1] + (n, n)
+        return dx, np.ndarray(shape, complex, _ZERO, strides=(0,) * len(shape))
     g = m.connection_form(x, w, dx)
     de = -np.einsum("...gd,...de->...ge", g, e)
     return dx, de

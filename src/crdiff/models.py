@@ -16,7 +16,7 @@ conjugate, 1 <= a <= n.  Christoffel data is a complex array of shape
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,6 +41,9 @@ ANTISYM_TOL = 1e-12
 DTHETA_TOL = 1e-8
 # largest |lam^H lam - I| that gauge_rotated_model accepts at its probe points
 GAUGE_UNITARITY_TOL = 1e-12
+# largest relative mismatch of frame_action against the frame contraction at
+# the construction probe
+FRAME_ACTION_RTOL = 1e-12
 
 
 def fd_stencil(x: np.ndarray) -> np.ndarray:
@@ -121,6 +124,18 @@ class ModelDescriptor:
                           replacement christoffel must come with a matching
                           connection (or connection=None) to reach the
                           integrator.
+    frame_action(x, w) -> (..., D) real, or None: the base velocity
+                          dx = 2 Re(sum_b w_b Z_b(x)) of frame coefficients
+                          w (..., n).  Without it the integrator contracts
+                          frame(x) with w (see base_velocity).  It is
+                          checked against that contraction at the probe
+                          point on construction (relative FRAME_ACTION_RTOL,
+                          ValueError on a mismatch).  dataclasses.replace(m,
+                          frame=...) keeps the old frame_action, so a
+                          replacement frame must come with a matching
+                          frame_action (or frame_action=None); one that
+                          differs at the probe point is rejected there, one
+                          that differs only elsewhere is not seen.
     """
 
     n: int
@@ -134,6 +149,7 @@ class ModelDescriptor:
     chart_bound: np.ndarray | None = None
     flat_connection: bool = False
     connection: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    frame_action: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.chart_bound is not None:
@@ -144,20 +160,45 @@ class ModelDescriptor:
                     f"({self.dim}, 2), got {bound.shape}"
                 )
             object.__setattr__(self, "chart_bound", bound)
-        if not self.flat_connection:
-            return
-        probe = np.linspace(0.1, 0.3, self.dim)
+        probe = 0.1 + (0.2 / (self.dim - 1)) * np.arange(self.dim)
         if self.chart_bound is not None:
             probe = np.clip(probe, self.chart_bound[:, 0], self.chart_bound[:, 1])
-        if np.any(np.asarray(self.christoffel(probe)) != 0):
+        if self.frame_action is not None:
+            self._check_frame_action(probe)
+        if self.flat_connection and np.any(np.asarray(self.christoffel(probe)) != 0):
             raise ValueError(
                 f"model '{self.name}' declares a flat connection but its "
                 "Christoffel symbols do not vanish"
             )
 
+    def _check_frame_action(self, probe: np.ndarray) -> None:
+        w = (0.7 - 0.2j) - (0.4 - 1.1j) * np.arange(self.n)
+        act = np.asarray(self.frame_action(probe, w), dtype=float)
+        ref = 2.0 * (self.frame(probe) @ w).real
+        err = np.abs(act - ref).max()
+        if err <= FRAME_ACTION_RTOL * np.abs(ref).max():
+            return
+        # a frame that is NaN at the probe is matched by an action NaN there
+        if np.isnan(ref).all() and np.isnan(act).all():
+            return
+        raise ValueError(
+            f"frame_action of model '{self.name}' disagrees with its frame "
+            f"(residual {err:.3e})"
+        )
+
     @property
     def dim(self) -> int:
         return 2 * self.n + 1
+
+    def base_velocity(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The real base velocity dx = 2 Re(sum_b w_b Z_b(x)), shape (..., D).
+
+        w: (..., n) frame coefficients.  Calls the model's frame_action
+        when it has one; otherwise contracts the frame with w.
+        """
+        if self.frame_action is not None:
+            return self.frame_action(x, w)
+        return 2.0 * np.real(np.einsum("...kb,...b->...k", self.frame(x), w))
 
     def connection_form(self, x: np.ndarray, w: np.ndarray, dx: np.ndarray) -> np.ndarray:
         """The matrix G of de = -G e along X = dx, shape (..., n, n).
@@ -206,7 +247,8 @@ def heisenberg_model(n: int) -> ModelDescriptor:
     Frame Z_a = d/dz^a + i conj(z^a) d/dt expressed in real coordinates
     (d/dz^a = (d/du^a - i d/dv^a)/2), vanishing Christoffel symbols
     (declared as a flat connection), transverse field 2 d/dt, and the
-    standard contact form (dt + 2 sum(u dv - v du))/2.
+    standard contact form (dt + 2 sum(u dv - v du))/2.  The frame action
+    dx = 2 Re(Z w) is supplied in closed form.
     """
     if n <= 0:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -255,6 +297,22 @@ def heisenberg_model(n: int) -> ModelDescriptor:
             out[..., dim - 1, 2 * a + 1, a] = 1.0
         return out
 
+    def frame_action(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # (u_a, v_a) = (Re w_a, Im w_a), t = 2 sum_a (v_a Re w_a - u_a Im w_a):
+        # one term per a, added in the order of the frame contraction, whose
+        # bits this reproduces
+        x = np.asarray(x, dtype=float)
+        wr, wi = w.real, w.imag
+        out = np.empty(x.shape)
+        out[..., 0 : dim - 1 : 2] = wr
+        out[..., 1 : dim - 1 : 2] = wi
+        t = out[..., dim - 1]
+        np.subtract(x[..., 1] * wr[..., 0], x[..., 0] * wi[..., 0], out=t)
+        for a in range(1, n):
+            t += x[..., 2 * a + 1] * wr[..., a] - x[..., 2 * a] * wi[..., a]
+        t *= 2.0
+        return out
+
     return ModelDescriptor(
         n=n,
         name=f"heisenberg(n={n})",
@@ -266,6 +324,7 @@ def heisenberg_model(n: int) -> ModelDescriptor:
         frame_jacobian=frame_jacobian,
         chart_bound=None,
         flat_connection=True,
+        frame_action=frame_action,
     )
 
 
@@ -273,6 +332,7 @@ def gauge_rotated_model(
     base: ModelDescriptor,
     lam: Callable[[np.ndarray], np.ndarray],
     dlam: Callable[[np.ndarray], np.ndarray],
+    name: str | None = None,
 ) -> ModelDescriptor:
     """Rewrite ``base`` in the rotated frame Z'_a = sum_b lam[a, b] Z_b.
 
@@ -284,8 +344,11 @@ def gauge_rotated_model(
     direction X has the closed form G = ((X(L) + L omega0) L^H)^T with
     X(L) = sum_j X^j d_j L and omega0 the base connection form along X
     (zero on a flat base), so stepping never builds the rotated
-    Christoffel tensor.
+    Christoffel tensor; likewise the frame action is the base model's at
+    the base-frame coefficients L^T w, so stepping never builds the
+    rotated frame.
 
+    The descriptor is named ``name``, by default gauge_rotated[<base name>].
     Raises ValueError if lam fails the unitarity probe: the origin and
     eight seeded points of [-1, 1]^D, tolerance GAUGE_UNITARITY_TOL.
     """
@@ -304,6 +367,10 @@ def gauge_rotated_model(
 
     def frame(x: np.ndarray) -> np.ndarray:
         return np.einsum("...ab,...kb->...ka", lam(x), base.frame(x))
+
+    def frame_action(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # Z' w = Z (L^T w): the base action at the base-frame coefficients
+        return base.base_velocity(x, np.einsum("...ab,...a->...b", lam(x), w))
 
     def christoffel(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -360,7 +427,7 @@ def gauge_rotated_model(
 
     return ModelDescriptor(
         n=n,
-        name=f"gauge_rotated[{base.name}]",
+        name=name or f"gauge_rotated[{base.name}]",
         frame=frame,
         char_field=base.char_field,
         theta=base.theta,
@@ -369,6 +436,7 @@ def gauge_rotated_model(
         frame_jacobian=frame_jacobian if base.frame_jacobian is not None else None,
         chart_bound=base.chart_bound,
         connection=connection,
+        frame_action=frame_action,
     )
 
 
@@ -394,8 +462,9 @@ def phase_rotated_heisenberg(n: int, kappa: float) -> ModelDescriptor:
         out[..., dim - 1, :, :] = (1j * kappa * phase)[..., None, None] * eye
         return out
 
-    m = gauge_rotated_model(base, lam, dlam)
-    return replace(m, name=f"heisenberg_phase(n={n}, kappa={kappa})")
+    return gauge_rotated_model(
+        base, lam, dlam, name=f"heisenberg_phase(n={n}, kappa={kappa})"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -305,25 +305,15 @@ def density_at(
 # stochastic line integrals
 
 
-def _frame_pairing(m: ModelDescriptor, form: OneForm, x, e):
-    """Pairings of the moving frame e with the form at bundle states.
+def _integrand(m: ModelDescriptor, form: OneForm, x, e, db) -> np.ndarray:
+    """sum_A Xi(projected L_A) dB^A at bundle states (complex).
 
-    Returns (e^T c, conj(e)^T cbar), each of shape (..., n), where c and
-    cbar are the form's pairings with {Z_a} and {conj(Z_a)}.
+    With w = e db the integrand is c(Z w) + c(conj(Z w)) for the form's
+    components c, which is c(dx) for the base velocity dx = 2 Re(Z w):
+    one contraction with the model's frame action, for any complex form.
     """
-    fc = form.frame_comps(m, x)
-    n = m.n
-    g_unb = np.einsum("...ba,...b->...a", e, fc[..., :n])
-    g_bar = np.einsum("...ba,...b->...a", np.conj(e), fc[..., n:])
-    return g_unb, g_bar
-
-
-def _paired_integrand(pairing, db) -> np.ndarray:
-    """sum_A Xi(projected L_A) dB^A from a frame pairing (complex)."""
-    g_unb, g_bar = pairing
-    return np.einsum("...a,...a->...", g_unb, db) + np.einsum(
-        "...a,...a->...", g_bar, np.conj(db)
-    )
+    dx = m.base_velocity(x, np.einsum("...ba,...a->...b", e, db))
+    return np.einsum("...k,...k->...", form.comps(x), dx)
 
 
 def line_integral(m: ModelDescriptor, path: Path, form: OneForm) -> float:
@@ -341,41 +331,31 @@ def line_integral(m: ModelDescriptor, path: Path, form: OneForm) -> float:
     s_count = path.increments.shape[0]
     if s_count == 0:
         return 0.0
-    g_unb, g_bar = _frame_pairing(m, form, path.x, path.e)
     db = path.increments
-    pre = _paired_integrand((g_unb[:-1], g_bar[:-1]), db)
-    post = _paired_integrand((g_unb[1:], g_bar[1:]), db)
+    pre = _integrand(m, form, path.x[:-1], path.e[:-1], db)
+    post = _integrand(m, form, path.x[1:], path.e[1:], db)
     return float(np.real(0.5 * (pre + post).sum()))
 
 
 class LineIntegralObserver:
     """Streaming per-path Stratonovich accumulator for ensemble runs.
 
-    Calls must come in step order from one batch's stepping loop.  The
-    frame pairing at the post-step state is kept as the next step's
-    pre-step pairing (rows outside the mask did not advance and keep their
-    old one), so each step evaluates the frame and the form once.
+    Each step adds the trapezoidal average of the integrand at the pre-step
+    and post-step states of the rows in the mask.
     """
 
     def __init__(self, m: ModelDescriptor, form: OneForm, n_slots: int):
         self.m = m
         self.form = form
         self._acc = np.zeros(n_slots, dtype=complex)
-        self._pre = None
 
     def __call__(self, _k, x0, e0, x1, e1, db, mask) -> None:
-        pre = self._pre
-        if pre is None:
-            pre = _frame_pairing(self.m, self.form, x0, e0)
-        post = _frame_pairing(self.m, self.form, x1, e1)
-        val = _paired_integrand(pre, db) + _paired_integrand(post, db)
+        val = (_integrand(self.m, self.form, x0, e0, db)
+               + _integrand(self.m, self.form, x1, e1, db))
         if mask.all():
             self._acc += 0.5 * val
-            self._pre = post
-            return
-        self._acc[mask] += 0.5 * val[mask]
-        keep = mask[:, None]
-        self._pre = tuple(np.where(keep, b, a) for a, b in zip(pre, post))
+        else:
+            self._acc[mask] += 0.5 * val[mask]
 
     @property
     def values(self) -> np.ndarray:

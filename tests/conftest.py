@@ -28,14 +28,19 @@ def gauge1():
 
 
 def _nan_beyond(m, radius):
-    """The model with a frame that turns NaN once |u1| exceeds radius."""
+    """The model with a frame and a frame action that turn NaN once |u1|
+    exceeds radius (replacing the frame alone would keep the old action)."""
+
+    def far(x):
+        return np.abs(np.asarray(x)[..., 0]) > radius
 
     def frame(x):
-        z = m.frame(x)
-        far = np.abs(np.asarray(x)[..., 0]) > radius
-        return np.where(far[..., None, None], np.nan, z)
+        return np.where(far(x)[..., None, None], np.nan, m.frame(x))
 
-    return dataclasses.replace(m, frame=frame)
+    def frame_action(x, w):
+        return np.where(far(x)[..., None], np.nan, m.base_velocity(x, w))
+
+    return dataclasses.replace(m, frame=frame, frame_action=frame_action)
 
 
 @pytest.fixture(scope="session")

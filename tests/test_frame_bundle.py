@@ -46,6 +46,8 @@ def test_flat_velocity_skips_christoffel(heis2):
     np.testing.assert_array_equal(dx, dx_ref)
     np.testing.assert_array_equal(de, de_ref)
     assert de.shape == (4, 2, 2) and de.dtype == complex
+    # the flat de is a read-only zero-stride view: no batch allocates it
+    assert not de.flags.writeable and de.strides == (0, 0, 0)
 
 
 def test_velocity_at_z_equals_i(heis1):

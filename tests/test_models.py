@@ -268,6 +268,67 @@ def test_connection_matches_christoffel_contraction(name, data):
     assert np.abs(got - want).max() <= 1e-14 * scale
 
 
+# --- frame action ----------------------------------------------------------------
+
+# builders of kappa; a gauge model over a gauge base last
+FRAME_ACTION_MODELS = {
+    "heisenberg n=1": lambda kappa: heisenberg_model(1),
+    "heisenberg n=2": lambda kappa: heisenberg_model(2),
+    "heisenberg n=3": lambda kappa: heisenberg_model(3),
+    "phase n=1": lambda kappa: phase_rotated_heisenberg(1, kappa),
+    "phase n=2": lambda kappa: phase_rotated_heisenberg(2, kappa),
+    "matrix gauge on phase H2": lambda kappa: gauge_rotated_model(
+        phase_rotated_heisenberg(2, kappa), *_matrix_gauge_h2()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_ACTION_MODELS))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_frame_action_matches_frame_contraction(name, data):
+    """The closed-form frame action equals 2 Re(frame(x) w); on the
+    Heisenberg chart it reproduces the contraction bit for bit."""
+    kappa = data.draw(st.floats(-2.0, 2.0), label="kappa")
+    m = FRAME_ACTION_MODELS[name](kappa)
+    assert m.frame_action is not None
+    n, dim = m.n, m.dim
+    p = data.draw(st.integers(1, 4), label="points")
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    x = data.draw(arrays(float, (p, dim), elements=st.floats(-1.5, 1.5)), label="x")
+    w = (data.draw(arrays(float, (p, n), elements=unit), label="re w")
+         + 1j * data.draw(arrays(float, (p, n), elements=unit), label="im w"))
+    z = m.frame(x)
+    want = 2.0 * np.real(np.einsum("...kb,...b->...k", z, w))
+    got = m.frame_action(x, w)
+    assert got.shape == want.shape == (p, dim)
+    assert got.dtype == float
+    if name.startswith("heisenberg"):
+        assert np.array_equal(got, want)
+    # relative to the size of the summed terms, which bounds |want|
+    scale = 2.0 * np.abs(w).sum(axis=-1).max() * np.abs(z).max()
+    assert np.abs(got - want).max() <= 1e-14 * scale
+    np.testing.assert_array_equal(m.base_velocity(x, w), got)
+
+
+def test_base_velocity_falls_back_to_frame_contraction(heis1, gauge1):
+    m = dataclasses.replace(heis1, frame=gauge1.frame, frame_action=None)
+    x = POINTS[:4]
+    w = np.array([[0.3 - 0.7j]] * 4)
+    want = 2.0 * np.real(np.einsum("...kb,...b->...k", gauge1.frame(x), w))
+    np.testing.assert_array_equal(m.base_velocity(x, w), want)
+
+
+def test_frame_action_disagreeing_with_frame_rejected(heis1, gauge1):
+    # a replaced frame keeps the old action, which the probe then rejects
+    with pytest.raises(ValueError, match="frame_action"):
+        dataclasses.replace(heis1, frame=gauge1.frame)
+    with pytest.raises(ValueError, match="frame_action"):
+        dataclasses.replace(
+            heis1, frame_action=lambda x, w: 1.001 * heis1.frame_action(x, w))
+    with pytest.raises(ValueError, match="frame_action"):
+        dataclasses.replace(gauge1, frame_action=heis1.frame_action)
+
+
 def test_volume_density_positive_constant(heis1, heis2):
     for m in (heis1, heis2):
         dens = m.volume_density(RNG.normal(size=(4, m.dim)))

@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crdiff import (
     FrameState,
@@ -14,15 +17,17 @@ from crdiff import (
     form_dt,
     form_du,
     form_dv,
+    heisenberg_model,
     ks_distance,
     line_integral,
     line_integral_ensemble,
+    phase_rotated_heisenberg,
     semigroup_average,
     simulate_ensemble,
     simulate_path,
     theta_form,
 )
-from crdiff.observables import OneForm, density_at
+from crdiff.observables import LineIntegralObserver, OneForm, _integrand, density_at
 
 ORIGIN1 = FrameState(np.zeros(3), np.eye(1))
 
@@ -67,6 +72,65 @@ def test_form_algebra(heis1):
 
 
 # --- line integrals -----------------------------------------------------------
+
+
+def _pairing_integrand(m, form, x, e, db):
+    """Reference: sum_a (e^T c)_a dB^a + (conj(e)^T cbar)_a conj(dB^a), with c
+    and cbar the form's pairings with {Z_a} and {conj(Z_a)}."""
+    fc = form.frame_comps(m, x)
+    n = m.n
+    g_unb = np.einsum("...ba,...b->...a", e, fc[..., :n])
+    g_bar = np.einsum("...ba,...b->...a", np.conj(e), fc[..., n:])
+    return (np.einsum("...a,...a->...", g_unb, db)
+            + np.einsum("...a,...a->...", g_bar, np.conj(db)))
+
+
+INTEGRAND_MODELS = {
+    "heisenberg n=1": lambda: heisenberg_model(1),
+    "heisenberg n=2": lambda: heisenberg_model(2),
+    "phase n=1": lambda: phase_rotated_heisenberg(1, 0.9),
+    "phase n=2": lambda: phase_rotated_heisenberg(2, 0.9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAND_MODELS))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_integrand_matches_frame_pairing(name, data):
+    """form(dx) at the frame action equals the frame-pairing formula for a
+    complex, non-constant form, in the integrand and in the observer."""
+    m = INTEGRAND_MODELS[name]()
+    n, dim = m.n, m.dim
+    form = theta_form(m) + 1j * form_du(n)
+    p = data.draw(st.integers(1, 4), label="points")
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+    def state(label):
+        x = data.draw(arrays(float, (p, dim), elements=st.floats(-1.5, 1.5)),
+                      label=f"x{label}")
+        e = (data.draw(arrays(float, (p, n, n), elements=unit), label=f"re e{label}")
+             + 1j * data.draw(arrays(float, (p, n, n), elements=unit),
+                              label=f"im e{label}"))
+        return x, e
+
+    (x0, e0), (x1, e1) = state(0), state(1)
+    db = (data.draw(arrays(float, (p, n), elements=unit), label="re db")
+          + 1j * data.draw(arrays(float, (p, n), elements=unit), label="im db"))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=p, max_size=p),
+                              label="mask"))
+    # bounds every summed term of either formula
+    scale = 4.0 * dim * np.abs(db).sum(axis=-1).max() * max(
+        np.abs(form.comps(x)).max() * np.abs(m.frame(x)).max()
+        * np.abs(e).sum(axis=-2).max() for x, e in ((x0, e0), (x1, e1)))
+    want0 = _pairing_integrand(m, form, x0, e0, db)
+    want1 = _pairing_integrand(m, form, x1, e1, db)
+    assert np.abs(_integrand(m, form, x0, e0, db) - want0).max() <= 1e-14 * scale
+    assert np.abs(_integrand(m, form, x1, e1, db) - want1).max() <= 1e-14 * scale
+
+    ob = LineIntegralObserver(m, form, p)
+    ob(0, x0, e0, x1, e1, db, mask)
+    want = np.where(mask, 0.5 * (want0 + want1).real, 0.0)
+    assert np.abs(ob.values - want).max() <= 1e-14 * scale
 
 
 def test_contact_form_integral_vanishes_pathwise(heis1, stored_path):
