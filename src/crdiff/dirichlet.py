@@ -202,7 +202,7 @@ def _refine_events(
     # capped at max_levels and pops never exceed pushes: <= 2 max_levels + 1 rounds
     while not done.all():
         act = np.flatnonzero(~done)
-        x_end, e_end = _heun(m, cur_x[act], cur_e[act], cur_db[act], reunitarize)
+        x_end, e_end, _ = _heun(m, cur_x[act], cur_e[act], cur_db[act], reunitarize)
         phi_end = d.phi_at(x_end)
         bad = ~np.isfinite(phi_end)
         if bad.any():
@@ -233,7 +233,7 @@ def _refine_events(
             g = _event_zdraws(key, paths[idx], steps[idx], level[idx], n)
             zeta = (g[:, :n] + 1j * g[:, n:]) * np.sqrt(h[idx] / 8.0)[:, None]
             db1 = 0.5 * cur_db[idx] + zeta
-            x_mid, e_mid = _heun(m, cur_x[idx], cur_e[idx], db1, reunitarize)
+            x_mid, e_mid, _ = _heun(m, cur_x[idx], cur_e[idx], db1, reunitarize)
             phi_mid = d.phi_at(x_mid)
             lost = ~np.isfinite(phi_mid)
             if lost.any():
@@ -408,7 +408,7 @@ def _exit_block(
             gl = _draw_normals(rngs, g, subs)[live]
             db = (gl[:, :n] + 1j * gl[:, n:]) * scale
             reunit = bool(reunit_every) and (k + 1) % reunit_every == 0
-            x_new, e_new = _heun(m, x[live], e[live], db, reunit)
+            x_new, e_new, _ = _heun(m, x[live], e[live], db, reunit)
             phi = d.phi_at(x_new)
             bad = ~np.isfinite(phi)
             gone = (phi >= 0) | bad

@@ -69,8 +69,14 @@ class BundleVelocity:
     de: np.ndarray
 
 
+def frame_coords(e: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Frame coefficients w = e xi of the direction xi, shape (..., n)."""
+    return np.einsum("...ba,...a->...b", e, xi)
+
+
 def velocity_arrays(
-    m: ModelDescriptor, x: np.ndarray, e: np.ndarray, xi: np.ndarray
+    m: ModelDescriptor, x: np.ndarray, e: np.ndarray, xi: np.ndarray,
+    w: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched horizontal velocity for the driving direction xi.
 
@@ -83,10 +89,12 @@ def velocity_arrays(
     (m.connection_form: the model's connection evaluator, or the
     Christoffel contraction for a model without one).  On a model with a
     flat connection G = 0: de is a read-only broadcast zero and neither is
-    evaluated.
+    evaluated.  w, when given, must be frame_coords(e, xi); a caller that
+    evaluates several states with one frame passes it to contract once.
     """
     n = m.n
-    w = np.einsum("...ba,...a->...b", e, xi)              # frame coefficients
+    if w is None:
+        w = frame_coords(e, xi)
     dx = m.base_velocity(x, w)
     if m.flat_connection:
         shape = dx.shape[:-1] + (n, n)

@@ -304,8 +304,10 @@ def heisenberg_model(n: int) -> ModelDescriptor:
         x = np.asarray(x, dtype=float)
         wr, wi = w.real, w.imag
         out = np.empty(x.shape)
-        out[..., 0 : dim - 1 : 2] = wr
-        out[..., 1 : dim - 1 : 2] = wi
+        # column by column: one long copy each, not a short one per row
+        for a in range(n):
+            out[..., 2 * a] = wr[..., a]
+            out[..., 2 * a + 1] = wi[..., a]
         t = out[..., dim - 1]
         np.subtract(x[..., 1] * wr[..., 0], x[..., 0] * wi[..., 0], out=t)
         for a in range(1, n):

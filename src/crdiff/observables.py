@@ -16,7 +16,7 @@ import numpy as np
 
 from .models import ModelDescriptor
 from .sde import Ensemble, Path, SimConfig, simulate_ensemble
-from .frame_bundle import FrameState
+from .frame_bundle import FrameState, frame_coords
 
 __all__ = [
     "OneForm",
@@ -98,8 +98,8 @@ def coordinate_form(dim: int, k: int, name: str | None = None) -> OneForm:
     comp[k] = 1.0
 
     def chart_comps(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(comp, x.shape).copy()
+        # a read-only view: the components are the same at every point
+        return np.broadcast_to(comp, np.shape(x))
 
     def chart_jacobian(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -305,15 +305,19 @@ def density_at(
 # stochastic line integrals
 
 
-def _integrand(m: ModelDescriptor, form: OneForm, x, e, db) -> np.ndarray:
-    """sum_A Xi(projected L_A) dB^A at bundle states (complex).
+def _integrand(m: ModelDescriptor, form: OneForm, x, e, db, dx=None) -> np.ndarray:
+    """sum_A Xi(projected L_A) dB^A at bundle states.
 
     With w = e db the integrand is c(Z w) + c(conj(Z w)) for the form's
     components c, which is c(dx) for the base velocity dx = 2 Re(Z w):
     one contraction with the model's frame action, for any complex form.
+    dx, when given, is that base velocity (the Heun kernel's pre-step
+    velocity).  The raw components pair with the real dx, so the integrand
+    is real for a real form and complex only for a complex one.
     """
-    dx = m.base_velocity(x, np.einsum("...ba,...a->...b", e, db))
-    return np.einsum("...k,...k->...", form.comps(x), dx)
+    if dx is None:
+        dx = m.base_velocity(x, frame_coords(e, db))
+    return np.einsum("...k,...k->...", form.chart_comps(x), dx)
 
 
 def line_integral(m: ModelDescriptor, path: Path, form: OneForm) -> float:
@@ -341,17 +345,20 @@ class LineIntegralObserver:
     """Streaming per-path Stratonovich accumulator for ensemble runs.
 
     Each step adds the trapezoidal average of the integrand at the pre-step
-    and post-step states of the rows in the mask.
+    and post-step states of the rows in the mask.  The pre-step term pairs
+    the form with dx0, the Heun kernel's own pre-step velocity, when the
+    stepping loop hands it over; only the real part is accumulated, the
+    part ``values`` reports.
     """
 
     def __init__(self, m: ModelDescriptor, form: OneForm, n_slots: int):
         self.m = m
         self.form = form
-        self._acc = np.zeros(n_slots, dtype=complex)
+        self._acc = np.zeros(n_slots)
 
-    def __call__(self, _k, x0, e0, x1, e1, db, mask) -> None:
-        val = (_integrand(self.m, self.form, x0, e0, db)
-               + _integrand(self.m, self.form, x1, e1, db))
+    def __call__(self, _k, x0, e0, x1, e1, db, mask, dx0=None) -> None:
+        val = (_integrand(self.m, self.form, x0, e0, db, dx0)
+               + _integrand(self.m, self.form, x1, e1, db)).real
         if mask.all():
             self._acc += 0.5 * val
         else:
@@ -359,7 +366,7 @@ class LineIntegralObserver:
 
     @property
     def values(self) -> np.ndarray:
-        return self._acc.real.copy()
+        return self._acc.copy()
 
 
 def line_integral_ensemble(

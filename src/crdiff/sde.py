@@ -27,7 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frame_bundle import UNITARITY_TOL, FrameState, _polar_batch, velocity_arrays
+from .frame_bundle import (
+    UNITARITY_TOL, FrameState, _polar_batch, frame_coords, velocity_arrays,
+)
 from .models import ModelDescriptor
 
 __all__ = [
@@ -197,7 +199,13 @@ def _seeded_draw_fn(seed: int, block: int, n: int, dt: float, n_active: int):
     def draw(_k: int, active: np.ndarray) -> np.ndarray:
         subs = np.flatnonzero(np.logical_or.reduceat(active, starts)).tolist()
         _draw_normals(rngs, g, subs)
-        return (g[:n_active, :n] + 1j * g[:n_active, n:]) * scale
+        # a fresh array per call: callers may keep it.  Filled a column
+        # at a time, one long loop each instead of a short loop per row.
+        db = np.empty((n_active, n), dtype=complex)
+        for a in range(n):
+            np.multiply(g[:n_active, a], scale, out=db.real[:, a])
+            np.multiply(g[:n_active, n + a], scale, out=db.imag[:, a])
+        return db
 
     return draw
 
@@ -223,32 +231,51 @@ def driving_increments(cfg: SimConfig, n_paths: int, n: int) -> np.ndarray:
 def _heun(m: ModelDescriptor, x, e, db, reunitarize: bool):
     """Heun predictor-corrector step of a batch; rows are independent.
 
-    On a flat connection parallel transport is the identity: the frame is
-    returned as it came (the same array) and no polar factor is taken.
+    Returns (x_new, e_new, dx1), dx1 the base velocity at the pre-step
+    state (the line-integral observer's pre-step term).  On a flat
+    connection parallel transport is the identity: the frame is returned
+    as it came (the same array), no polar factor is taken, and both
+    evaluations share one w = e db.
     """
-    dx1, de1 = velocity_arrays(m, x, e, db)
     if m.flat_connection:
-        dx2, _ = velocity_arrays(m, x + dx1, e, db)
-        return x + 0.5 * (dx1 + dx2), e
-    dx2, de2 = velocity_arrays(m, x + dx1, e + de1, db)
-    x_new = x + 0.5 * (dx1 + dx2)
-    e_new = e + 0.5 * (de1 + de2)
+        w = frame_coords(e, db)
+        dx1, _ = velocity_arrays(m, x, e, db, w=w)
+        x_new = x + dx1
+        dx2, _ = velocity_arrays(m, x_new, e, db, w=w)
+        return _average(x, dx1, dx2, x_new), e, dx1
+    dx1, de1 = velocity_arrays(m, x, e, db)
+    x_new, e_new = x + dx1, e + de1
+    dx2, de2 = velocity_arrays(m, x_new, e_new, db)
+    x_new = _average(x, dx1, dx2, x_new)
+    e_new = _average(e, de1, de2, e_new)
     if reunitarize:
         e_new = _polar_batch(e_new)
-    return x_new, e_new
+    return x_new, e_new, dx1
 
 
-def step(m: ModelDescriptor, s: FrameState, db: np.ndarray, dt: float,
+def _average(y, dy1, dy2, out):
+    """y + 0.5 (dy1 + dy2), written into out (the predictor's array).
+
+    The same operations in the same order as the expression, so the same
+    bits, without the three temporaries: at a 4096-row block a fresh
+    array costs more than the arithmetic.
+    """
+    np.add(dy1, dy2, out=out)
+    out *= 0.5
+    out += y
+    return out
+
+
+def step(m: ModelDescriptor, s: FrameState, db: np.ndarray,
          reunitarize: bool = True) -> FrameState:
     """One Heun predictor-corrector step of the bundle SDE.
 
     The scheme is driven entirely by the increment (the equation has no
-    drift term); dt is accepted for interface symmetry and ignored.  On a
-    model with a flat connection the new state holds a copy of the frame.
+    drift term).  On a model with a flat connection the new state holds a
+    copy of the frame.
     """
-    del dt
     db = np.asarray(db, dtype=complex)
-    x, e = _heun(m, s.x, s.e, db, reunitarize)
+    x, e, _ = _heun(m, s.x, s.e, db, reunitarize)
     return FrameState(x, e.copy() if e is s.e else e)
 
 
@@ -290,11 +317,14 @@ def _run_block(
     increments of step k, where active masks the rows still stepping.
     Returns (x, e, status, steps_taken, records, increments).  Paths that
     leave the coordinate cap or the chart bound, or whose state turns
-    non-finite, are frozen at their last valid state and flagged.
+    non-finite, are frozen at their last valid state and flagged.  The
+    start frames must be finite (the callers check them unitary): a frame
+    the flat kernel carries unchanged is not tested again.  observer is
+    called as in simulate_ensemble.
     """
     n_steps, dt = cfg.n_steps, cfg.dt
     p_count = x0.shape[0]
-    x, e = x0.astype(float).copy(), e0.astype(complex).copy()
+    x, e = x0.astype(float), e0.astype(complex)
     status = np.zeros(p_count, dtype=np.uint8)
     steps_taken = np.zeros(p_count, dtype=np.int64)
     active = np.ones(p_count, dtype=bool)
@@ -313,35 +343,48 @@ def _run_block(
         )
         rec.x[0], rec.e[0], rec.valid[0] = x, e, True
 
+    all_live = True         # no row has stopped yet
     for k in range(n_steps):
         if not active.any():
             break
         db = draw_fn(k, active)
         if collect_increments:
             inc_list.append(db.copy())
-        x_new, e_new = _heun(
+        x_new, e_new, dx0 = _heun(
             m, x, e, db, bool(reunit) and (k + 1) % reunit == 0
         )
-        x_max = np.abs(x_new).max(axis=-1)
-        bad = x_max > cap
-        # NaN compares False against the cap, so finiteness is tested on
-        # its own: a whole-batch test first, rows only when it fails
-        finite = np.isfinite(x_max).all() and np.isfinite(e_new).all()
-        if not finite:
+        # a whole-batch test first, which NaN fails too; rows only when it
+        # fails.  A frame returned as it came (flat connection) is the
+        # start frame, which was checked unitary, so it is finite.
+        bad = nonfinite = None
+        if not (x_new.max() <= cap and x_new.min() >= -cap
+                and (e_new is e or np.isfinite(e_new).all())):
+            x_max = np.abs(x_new).max(axis=-1)
             nonfinite = ~(np.isfinite(x_max) & np.isfinite(e_new).all(axis=(-2, -1)))
-            bad |= nonfinite
+            bad = (x_max > cap) | nonfinite
         if m.chart_bound is not None:
-            bad |= ~m.inside_chart(x_new)
-        upd = active & ~bad
-        if observer is not None:
-            observer(k, x, e, x_new, e_new, db, upd)
-        x[upd], e[upd] = x_new[upd], e_new[upd]
-        stopped = active & bad
-        steps_taken[stopped] = k
-        status[stopped] = STATUS_CAPPED
-        if not finite:
-            status[stopped & nonfinite] = STATUS_NONFINITE
-        active = upd
+            outside = ~m.inside_chart(x_new)
+            bad = outside if bad is None else bad | outside
+        if all_live and (bad is None or not bad.any()):
+            # every row steps: take the new arrays whole
+            if observer is not None:
+                observer(k, x, e, x_new, e_new, db, active, dx0)
+            x, e = x_new, e_new
+        else:
+            upd = active if bad is None else active & ~bad
+            if observer is not None:
+                observer(k, x, e, x_new, e_new, db, upd, dx0)
+            x[upd] = x_new[upd]
+            if e_new is not e:
+                e[upd] = e_new[upd]
+            if bad is not None:
+                stopped = active & bad
+                steps_taken[stopped] = k
+                status[stopped] = STATUS_CAPPED
+                if nonfinite is not None:
+                    status[stopped & nonfinite] = STATUS_NONFINITE
+                all_live = False
+            active = upd
         if rec is not None and (k + 1) % cfg.record_stride == 0:
             t_idx = (k + 1) // cfg.record_stride
             rec.x[t_idx], rec.e[t_idx], rec.valid[t_idx] = x, e, active
@@ -429,6 +472,14 @@ def simulate_ensemble(
     identical for any n_workers.  observer_factories maps names to
     callables f(n_slots) returning streaming per-step accumulators with a
     ``values`` array; their outputs land in Ensemble.observables.
+
+    Each step calls every observer as ob(k, x0, e0, x1, e1, db, mask, dx0):
+    the pre-step and post-step states of all slots, the increments, the
+    bool mask of the rows that took the step, and dx0, the Heun kernel's
+    base velocity at the pre-step state.  The arrays are read-only to
+    observers, and x1 may be the next step's x0 (the loop keeps the new
+    arrays whole while every path lives), so an observer copies what it
+    keeps.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -471,8 +522,12 @@ def simulate_with_increments(
     and rerun to realize couplings such as the frame-rotation identity.
     """
     increments = np.asarray(increments, dtype=complex)
-    if increments.ndim != 3 or increments.shape[1] != cfg.n_steps:
-        raise ValueError("increments must have shape (n_paths, n_steps, n)")
+    if increments.shape[1:] != (cfg.n_steps, m.n):
+        raise ValueError(
+            f"increments must have shape (n_paths, {cfg.n_steps}, {m.n}), "
+            f"got {increments.shape}"
+        )
+    m.require_inside(s0.x)
     _require_unitary(s0)
     p_count = increments.shape[0]
     x0 = np.repeat(s0.x[None].astype(float), p_count, axis=0)

@@ -54,7 +54,7 @@ class UnitarityObserver:
     def __init__(self, width: int):
         self.values = np.zeros(width)
 
-    def __call__(self, _k, _x0, _e0, _x1, e1, _db, mask):
+    def __call__(self, _k, _x0, _e0, _x1, e1, _db, mask, _dx0):
         eye = np.eye(e1.shape[-1])
         defect = np.abs(np.conj(np.swapaxes(e1, -1, -2)) @ e1 - eye).max(axis=(-1, -2))
         self.values = np.where(mask, np.maximum(self.values, defect), self.values)

@@ -133,6 +133,35 @@ def test_integrand_matches_frame_pairing(name, data):
     assert np.abs(ob.values - want).max() <= 1e-14 * scale
 
 
+OBSERVER_CASES = {
+    "heisenberg n=2 du1": (lambda: heisenberg_model(2), lambda m: form_du(2)),
+    "heisenberg n=2 theta": (lambda: heisenberg_model(2), theta_form),
+    # theta integrals vanish pathwise; dt reads the x-dependent t row
+    "heisenberg n=2 dt": (lambda: heisenberg_model(2), lambda m: form_dt(2)),
+    "heisenberg_phase n=1 du1": (lambda: phase_rotated_heisenberg(1, 0.9),
+                                 lambda m: form_du(1)),
+    "heisenberg_phase n=1 theta+i du1": (
+        lambda: phase_rotated_heisenberg(1, 0.9),
+        lambda m: theta_form(m) + 1j * form_du(1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OBSERVER_CASES))
+def test_observer_equals_stored_path_integral(case):
+    """The streamed value of path 0 is the stored-path integral of the
+    same path: the pre-step velocity the stepping loop hands the observer
+    is the one at the pre-step state."""
+    make_model, make_form = OBSERVER_CASES[case]
+    m = make_model()
+    form = make_form(m)
+    x0 = np.linspace(0.3, -0.2, m.dim)
+    s0 = FrameState(x0, np.exp(0.4j) * np.eye(m.n))
+    cfg = SimConfig(t_horizon=0.5, n_steps=60, seed=205)
+    streamed = line_integral_ensemble(m, s0, cfg, 5, form).observables["line_integral"]
+    stored = line_integral(m, simulate_path(m, s0, cfg), form)
+    assert abs(streamed[0] - stored) <= 1e-12
+
+
 def test_contact_form_integral_vanishes_pathwise(heis1, stored_path):
     assert abs(line_integral(heis1, stored_path, theta_form(heis1))) <= 1e-12
 

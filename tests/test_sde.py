@@ -25,6 +25,7 @@ from crdiff.sde import (
     driving_increments,
     simulate_with_increments,
 )
+from crdiff.models import ChartBoundsError
 from crdiff.observables import form_du, line_integral
 
 ORIGIN1 = FrameState(np.zeros(3), np.eye(1))
@@ -92,7 +93,7 @@ def test_increment_brownian_scaling():
 
 def test_zero_increment_fixes_state(gauge1):
     s = FrameState(np.array([0.2, -0.1, 0.4]), np.exp(0.3j) * np.eye(1))
-    out = step(gauge1, s, np.zeros(1), 0.01)
+    out = step(gauge1, s, np.zeros(1))
     np.testing.assert_array_equal(out.x, s.x)
     np.testing.assert_allclose(out.e, s.e, atol=1e-15)
 
@@ -103,8 +104,8 @@ def test_step_rotation_equivariance(gauge1):
     q = np.exp(1j * 0.77) * np.eye(1)
     s = FrameState(np.array([0.1, 0.3, -0.2]), np.eye(1))
     db = (rng.normal(size=1) + 1j * rng.normal(size=1)) * np.sqrt(0.005)
-    plain = step(gauge1, s, db, 0.01)
-    rotated = step(gauge1, FrameState(s.x, s.e @ q), np.conj(q.T) @ db, 0.01)
+    plain = step(gauge1, s, db)
+    rotated = step(gauge1, FrameState(s.x, s.e @ q), np.conj(q.T) @ db)
     np.testing.assert_allclose(rotated.x, plain.x, atol=1e-12)
     np.testing.assert_allclose(rotated.e, plain.e @ q, atol=1e-12)
 
@@ -125,8 +126,8 @@ def test_singular_frames_turn_nan(n):
         e[4] = np.diag([1.0, 0.0])            # rank deficient
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = [step(m, FrameState(x[i], e[i]), db[i], 0.01) for i in range(5)]
-        _x, e_batch = _heun(m, x, e, db, True)
+        out = [step(m, FrameState(x[i], e[i]), db[i]) for i in range(5)]
+        _x, e_batch, _ = _heun(m, x, e, db, True)
     bad = [1, 3, 4] if n > 1 else [1, 3]
     for i in range(5):
         if i in bad:
@@ -135,7 +136,7 @@ def test_singular_frames_turn_nan(n):
         else:
             assert np.isfinite(e_batch[i]).all()
     good = [i for i in range(5) if i not in bad]
-    _x, e_good = _heun(m, x[good], e[good], db[good], True)
+    _x, e_good, _ = _heun(m, x[good], e[good], db[good], True)
     np.testing.assert_array_equal(e_batch[good], e_good)
     for j, i in enumerate(good):
         np.testing.assert_array_equal(out[i].e, e_good[j])
@@ -174,6 +175,29 @@ def test_nonunitary_start_frame_rejected(heis2, frame):
         simulate_with_increments(heis2, s0, cfg, driving_increments(cfg, 10, 2))
 
 
+def test_increments_start_outside_chart_rejected(heis1):
+    """Explicit increments get the start-point check of the other
+    simulators: a start outside the chart bound raises, it does not come
+    back as capped paths."""
+    m = dataclasses.replace(heis1, chart_bound=np.array([[-0.5, 0.5]] * 3))
+    s0 = FrameState(np.array([2.0, 0.0, 0.0]), np.eye(1))
+    cfg = SimConfig(t_horizon=0.1, n_steps=10, seed=47)
+    with pytest.raises(ChartBoundsError):
+        simulate_ensemble(m, s0, cfg, 4)
+    with pytest.raises(ChartBoundsError):
+        simulate_with_increments(m, s0, cfg, driving_increments(cfg, 4, 1))
+
+
+def test_increments_width_must_equal_n(heis2):
+    """Increments one direction wide are refused on an n = 2 model, not
+    broadcast to both directions."""
+    s0 = FrameState(np.zeros(5), np.eye(2))
+    cfg = SimConfig(t_horizon=0.1, n_steps=10, seed=48)
+    narrow = np.full((4, 10, 1), 0.1 + 0.05j)
+    with pytest.raises(ValueError, match="increments must have shape"):
+        simulate_with_increments(heis2, s0, cfg, narrow)
+
+
 def test_flat_step_carries_frame(heis2):
     """On the flat model a step moves the base point only: the frame comes
     back as the same array, also when reunitarization is due."""
@@ -181,10 +205,10 @@ def test_flat_step_carries_frame(heis2):
     x = rng.normal(size=(6, 5))
     e = np.broadcast_to(np.eye(2, dtype=complex), (6, 2, 2)).copy()
     db = (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))) * 0.05
-    x_new, e_new = _heun(heis2, x, e, db, True)
+    x_new, e_new, _ = _heun(heis2, x, e, db, True)
     assert e_new is e
     general = dataclasses.replace(heis2, flat_connection=False)
-    x_ref, e_ref = _heun(general, x, e, db, True)
+    x_ref, e_ref, _ = _heun(general, x, e, db, True)
     np.testing.assert_array_equal(x_new, x_ref)
     np.testing.assert_array_equal(e_new, e_ref)
 
