@@ -173,10 +173,13 @@ def parse_config(argv) -> RunConfig:
         description="simulate sub-Laplacian diffusions on CR model charts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
+    # only the invoked command's parser is ever used; every command is
+    # added when there is none, so --help and a misspelt one list them all
+    invoked = [cmd for cmd in argv[:1] if cmd in COMMANDS]
+    for cmd in invoked or COMMANDS:
         p = sub.add_parser(cmd)
-        if argv[:1] != [cmd]:
-            continue  # only the invoked command's flags are ever parsed
+        if cmd not in invoked:
+            continue
         p.add_argument("--config", default=None, help="INI file with a [run] section")
         for key, (typ, _default) in _SCHEMAS[cmd].items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, default=None)

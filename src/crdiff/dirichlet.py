@@ -23,7 +23,10 @@ from typing import Callable
 import numpy as np
 
 from .models import ModelDescriptor
-from .sde import SUB_BLOCK, SimConfig, _block_rng, _draw_normals, _heun, _map_blocks
+from .sde import (
+    SUB_BLOCK, SimConfig, _block_rng, _draw_normals, _heun, _map_blocks,
+    _scaled_increments,
+)
 
 # Not called here (the Heun kernel is sde._heun), but kept as names of this
 # module because the benchmark tracer (bench/tracer.py) wraps them here.
@@ -231,7 +234,7 @@ def _refine_events(
         if rem.any():
             idx = act[rem]
             g = _event_zdraws(key, paths[idx], steps[idx], level[idx], n)
-            zeta = (g[:, :n] + 1j * g[:, n:]) * np.sqrt(h[idx] / 8.0)[:, None]
+            zeta = _scaled_increments(g, np.sqrt(h[idx] / 8.0))
             db1 = 0.5 * cur_db[idx] + zeta
             x_mid, e_mid, _ = _heun(m, cur_x[idx], cur_e[idx], db1, reunitarize)
             phi_mid = d.phi_at(x_mid)
@@ -406,7 +409,7 @@ def _exit_block(
                 k = min(joins)
                 continue
             gl = _draw_normals(rngs, g, subs)[live]
-            db = (gl[:, :n] + 1j * gl[:, n:]) * scale
+            db = _scaled_increments(gl, scale)
             reunit = bool(reunit_every) and (k + 1) % reunit_every == 0
             x_new, e_new, _ = _heun(m, x[live], e[live], db, reunit)
             phi = d.phi_at(x_new)

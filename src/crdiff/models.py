@@ -354,6 +354,18 @@ def gauge_rotated_model(
     Raises ValueError if lam fails the unitarity probe: the origin and
     eight seeded points of [-1, 1]^D, tolerance GAUGE_UNITARITY_TOL.
     """
+    return ModelDescriptor(
+        name=name or f"gauge_rotated[{base.name}]", **_gauge_fields(base, lam, dlam)
+    )
+
+
+def _gauge_fields(base: ModelDescriptor, lam, dlam) -> dict:
+    """The descriptor fields of gauge_rotated_model, name aside.
+
+    Probes lam for unitarity first.  Returned as keywords so that a
+    constructor can replace evaluators before the one ModelDescriptor
+    build (a dataclasses.replace would run its checks twice).
+    """
     n, dim = base.n, base.dim
     eye = np.eye(n)
     rng = np.random.default_rng(20260808)
@@ -427,9 +439,8 @@ def gauge_rotated_model(
         shift = np.einsum("...jab,...kb->...kja", dL, zb)
         return rotated + shift
 
-    return ModelDescriptor(
+    return dict(
         n=n,
-        name=name or f"gauge_rotated[{base.name}]",
         frame=frame,
         char_field=base.char_field,
         theta=base.theta,
@@ -447,6 +458,13 @@ def phase_rotated_heisenberg(n: int, kappa: float) -> ModelDescriptor:
 
     A convenient built-in with nonvanishing Christoffel symbols whose
     projected diffusion law coincides with the plain Heisenberg one.
+
+    The gauge L = p I, p = exp(i kappa t), commutes with every matrix, so
+    the two stepping evaluators have closed forms: the frame action is
+    the Heisenberg action at p w (one phase per point, no L), and the
+    connection form along dx is G = i kappa dx_t I, the value of
+    conj(L) X(L)^T for |p| = 1 (no phase at all).  frame, christoffel and
+    frame_jacobian are gauge_rotated_model's.
     """
     base = heisenberg_model(n)
     dim = base.dim
@@ -464,9 +482,17 @@ def phase_rotated_heisenberg(n: int, kappa: float) -> ModelDescriptor:
         out[..., dim - 1, :, :] = (1j * kappa * phase)[..., None, None] * eye
         return out
 
-    return gauge_rotated_model(
-        base, lam, dlam, name=f"heisenberg_phase(n={n}, kappa={kappa})"
-    )
+    def frame_action(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        phase = np.exp(1j * kappa * x[..., dim - 1])
+        return base.frame_action(x, phase[..., None] * w)
+
+    def connection(x: np.ndarray, w: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        return (1j * kappa * dx[..., dim - 1])[..., None, None] * eye
+
+    fields = _gauge_fields(base, lam, dlam)
+    fields.update(frame_action=frame_action, connection=connection)
+    return ModelDescriptor(name=f"heisenberg_phase(n={n}, kappa={kappa})", **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -199,15 +199,25 @@ def _seeded_draw_fn(seed: int, block: int, n: int, dt: float, n_active: int):
     def draw(_k: int, active: np.ndarray) -> np.ndarray:
         subs = np.flatnonzero(np.logical_or.reduceat(active, starts)).tolist()
         _draw_normals(rngs, g, subs)
-        # a fresh array per call: callers may keep it.  Filled a column
-        # at a time, one long loop each instead of a short loop per row.
-        db = np.empty((n_active, n), dtype=complex)
-        for a in range(n):
-            np.multiply(g[:n_active, a], scale, out=db.real[:, a])
-            np.multiply(g[:n_active, n + a], scale, out=db.imag[:, a])
-        return db
+        return _scaled_increments(g[:n_active], scale)
 
     return draw
+
+
+def _scaled_increments(g: np.ndarray, scale) -> np.ndarray:
+    """(g[:, :n] + i g[:, n:]) * scale, the complex increments of (P, 2n) normals.
+
+    scale is a scalar or one value per row.  The result is a fresh array
+    (callers may keep it), filled a column at a time: one long loop each
+    instead of a short loop per row, and no temporaries; the bits are the
+    expression's.
+    """
+    n = g.shape[-1] // 2
+    db = np.empty((g.shape[0], n), dtype=complex)
+    for a in range(n):
+        np.multiply(g[:, a], scale, out=db.real[:, a])
+        np.multiply(g[:, n + a], scale, out=db.imag[:, a])
+    return db
 
 
 def driving_increments(cfg: SimConfig, n_paths: int, n: int) -> np.ndarray:

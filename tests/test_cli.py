@@ -39,6 +39,15 @@ def test_help_lists_commands_and_their_flags(capsys):
         assert not any(f"{flag} " in out for flag in others), cmd
 
 
+@pytest.mark.parametrize("argv", [["simulat"], ["--paths", "10"], []])
+def test_unknown_command_lists_every_command(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_config(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(cmd in err for cmd in cli.COMMANDS)
+
+
 def test_flag_of_another_command_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         parse_config("check-model --max-order 3".split())

@@ -277,6 +277,7 @@ FRAME_ACTION_MODELS = {
     "heisenberg n=3": lambda kappa: heisenberg_model(3),
     "phase n=1": lambda kappa: phase_rotated_heisenberg(1, kappa),
     "phase n=2": lambda kappa: phase_rotated_heisenberg(2, kappa),
+    "phase n=3": lambda kappa: phase_rotated_heisenberg(3, kappa),
     "matrix gauge on phase H2": lambda kappa: gauge_rotated_model(
         phase_rotated_heisenberg(2, kappa), *_matrix_gauge_h2()),
 }

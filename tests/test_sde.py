@@ -9,6 +9,8 @@ import pytest
 from crdiff import (
     FrameState,
     SimConfig,
+    gauge_rotated_model,
+    heisenberg_model,
     phase_rotated_heisenberg,
     sde,
     semigroup_average,
@@ -233,6 +235,33 @@ def test_gauge_stepping_makes_no_christoffel_calls(gauge1):
     ref = simulate_ensemble(gauge1, s0, cfg, 50)
     assert ens.x.tobytes() == ref.x.tobytes()
     assert ens.e.tobytes() == ref.e.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_phase_closed_form_steps_like_generic_gauge(n):
+    """phase_rotated_heisenberg's closed-form action and connection step
+    like gauge_rotated_model driven by the same phase gauge."""
+    kappa, dim = 0.9, 2 * n + 1
+
+    def lam(x):
+        phase = np.exp(1j * kappa * np.asarray(x)[..., -1])
+        return phase[..., None, None] * np.eye(n)
+
+    def dlam(x):
+        x = np.asarray(x)
+        out = np.zeros(x.shape[:-1] + (dim, n, n), dtype=complex)
+        out[..., -1, :, :] = 1j * kappa * lam(x)
+        return out
+
+    generic = gauge_rotated_model(heisenberg_model(n), lam, dlam)
+    closed = phase_rotated_heisenberg(n, kappa)
+    cfg = SimConfig(t_horizon=1.0, n_steps=50, seed=12, reunitarize_every=2)
+    s0 = FrameState(np.linspace(0.1, 0.3, dim), np.eye(n))
+    got = simulate_ensemble(closed, s0, cfg, 200)
+    want = simulate_ensemble(generic, s0, cfg, 200)
+    np.testing.assert_array_equal(got.status, want.status)
+    assert np.abs(got.x - want.x).max() <= 1e-12
+    assert np.abs(got.e - want.e).max() <= 1e-12
 
 
 def test_flat_model_z_update_is_exact_partial_sum(heis1):

@@ -1,0 +1,116 @@
+"""Paired before/after benchmark runs, summarized as one BENCH_<pr>.json.
+
+    python3 tools/bench_pairs.py --before DIR --after DIR \\
+        --before-commit SHA --out BENCH_<pr>.json
+
+Each DIR is a clean copy of one commit (``git archive`` or ``git clone``)
+holding ``BENCHMARK.json`` and ``bench/run.py``.  Every workload listed
+in the before copy's BENCHMARK.json gets ten pairs, each run lasting that
+file's ``run_seconds``.  A pair runs ``bench/run.py --trace 0`` once in
+each copy with the same seed (the pair index plus one); which side runs
+first alternates from pair to pair, so slow drift of the host falls on
+both sides alike.  Runs are sequential, one process at a time.
+
+For every workload the output holds each side's per-run end-to-end
+metrics and their medians and quartiles, the after/before ratio of the
+medians, and how many pairs the after side won on each metric.  It also
+records the before commit, both sides' source hashes, the CPU count and
+model, the run length and the pair count.  The file is committed with the
+change it measures, so it cannot name that commit: the after commit is
+null, and the after side's ``source_sha256`` identifies its source.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+PAIRS = 10
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run; its result line plus provenance."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                          timeout=4 * seconds + 300, check=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    head = next(json.loads(line) for line in reversed(lines[:-1])
+                if line.startswith('{"provenance"'))
+    result["provenance"] = head["provenance"]
+    return result
+
+
+def quartiles(values: list) -> list:
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarize(runs: list, metrics: list) -> dict:
+    out = {}
+    for m in metrics:
+        vals = [r["metrics"][m["name"]]["value"] for r in runs]
+        q1, med, q3 = quartiles(vals)
+        out[m["name"]] = {"median": med, "q1": q1, "q3": q3, "runs": vals}
+    out["failed_frac"] = statistics.median(
+        r["failed"] / r["attempted"] if r["attempted"] else 1.0 for r in runs)
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", required=True)
+    parser.add_argument("--after", required=True)
+    parser.add_argument("--before-commit", required=True)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+
+    with open(os.path.join(args.before, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    metrics = spec["end_to_end"]
+    seconds = spec["run_seconds"]
+    sides = {"before": args.before, "after": args.after}
+
+    report = {
+        "commits": {"before": args.before_commit, "after": None},
+        "run_seconds": seconds,
+        "pairs": PAIRS,
+        "order": "alternating, before first in even pairs; seed = pair + 1",
+        "workloads": {},
+    }
+    for name in (w["name"] for w in spec["workloads"]):
+        runs = {"before": [], "after": []}
+        for k in range(PAIRS):
+            order = ("before", "after") if k % 2 == 0 else ("after", "before")
+            for side in order:
+                runs[side].append(run_once(sides[side], name, k + 1, seconds))
+                print(name, k, side, json.dumps(runs[side][-1]["metrics"]),
+                      file=sys.stderr, flush=True)
+        entry = {side: summarize(runs[side], metrics) for side in sides}
+        for m in metrics:
+            key, lower = m["name"], m["better"] == "lower"
+            b, a = entry["before"][key], entry["after"][key]
+            wins = sum((x < y) if lower else (x > y)
+                       for x, y in zip(a["runs"], b["runs"]))
+            a["ratio_to_before"] = a["median"] / b["median"] if b["median"] else None
+            a["pairs_won"] = wins
+        report["workloads"][name] = entry
+        report.setdefault("provenance", {
+            side: {k: runs[side][0]["provenance"][k]
+                   for k in ("source_sha256", "nproc", "cpu_model", "numpy",
+                             "blas", "blas_threads")}
+            for side in sides})
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
