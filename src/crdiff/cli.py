@@ -298,11 +298,19 @@ def _output_path(params, command) -> str:
 def _write_csv(path: str, cfg: RunConfig, columns, table, extra_comments=()) -> None:
     """Write header comments, the column names and one row per table entry.
 
-    ``table`` holds one 1-D array per column; each column's dtype kind
-    picks its printf code (``_CSV_CODES``), and the row template is
-    repeated over chunks of ``CSV_CHUNK`` rows, one printf per chunk.
+    ``table`` holds one 1-D array per column, all of one length and one
+    per name in ``columns``; each column's dtype kind picks its printf
+    code (``_CSV_CODES``), and the row template is repeated over chunks
+    of ``CSV_CHUNK`` rows, one printf per chunk.  A ``str`` or object
+    column is written verbatim through ``%s``, so a caller may pass
+    numbers it formatted itself.  Number strings hold no comma, so
+    quoting the ``%s`` cells that hold one would leave them unchanged.
     """
     table = [np.asarray(col) for col in table]
+    if len(columns) != len(table):
+        raise ValueError(f"{len(columns)} column names for {len(table)} columns")
+    if len({col.shape for col in table}) > 1:
+        raise ValueError(f"CSV columns differ in shape: {[col.shape for col in table]}")
     lines = [
         f"# crdiff {__version__}",
         f"# config {cfg.hash()}",
@@ -376,6 +384,9 @@ def _cmd_density(cfg: RunConfig) -> int:
             raise ConfigError(f"key 'window': {exc}") from exc
         if window.shape != (m.dim, 2):
             raise ConfigError(f"key 'window' needs {m.dim} lo:hi pairs")
+        if not (np.isfinite(window).all() and (window[:, 0] < window[:, 1]).all()):
+            raise ConfigError(
+                f"key 'window' needs finite lo:hi pairs with lo < hi, got {p['window']!r}")
     bw = p["bandwidth"]
     if bw not in ("scott", "silverman"):
         bw = _floats("bandwidth", bw, m.dim)
@@ -393,11 +404,15 @@ def _cmd_density(cfg: RunConfig) -> int:
     try:
         est = estimate_density(ens, m, window, grid_points=p["grid_points"], bandwidth=bw)
     except ValueError as exc:
-        # the explicit window holds no completed sample
+        # no completed sample inside the explicit window, or a zero-width
+        # auto window (every sample shares a coordinate)
         print(f"density: {exc}", file=sys.stderr)
         return 1
-    # one row per grid node: its coordinates, then the density
-    nodes = np.meshgrid(*est.axes, indexing="ij")
+    # one row per grid node: its coordinates, then the density; each axis
+    # is formatted once and its strings laid out as the float nodes would be
+    labels = [np.array(["%.17g" % v for v in ax.tolist()], dtype=object)
+              for ax in est.axes]
+    nodes = np.meshgrid(*labels, indexing="ij")
     table = [col.ravel() for col in (*nodes, est.values)]
     out = _output_path(p, cfg.command)
     meta = [

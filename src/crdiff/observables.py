@@ -247,8 +247,9 @@ def estimate_density(
 
     The estimate is taken with respect to the canonical volume (kernel
     density against Lebesgue measure divided by the model's volume
-    density at each grid node).  Requires at least 100 completed paths
-    and at least one sample inside the window.
+    density at each grid node).  Requires at least 100 completed paths, a
+    finite window with lo < hi on every axis, and at least one sample
+    inside it.
 
     The product kernel on a tensor grid is separable: one (G_d, M) factor
     of one-axis Gaussians per axis, contracted with outer products over
@@ -266,6 +267,8 @@ def estimate_density(
     dim = samples.shape[1]
     if window.shape != (dim, 2):
         raise ValueError(f"window must have shape ({dim}, 2)")
+    if not (np.isfinite(window).all() and (window[:, 0] < window[:, 1]).all()):
+        raise ValueError("window needs finite bounds with lo < hi on every axis")
     inside = np.all((samples >= window[:, 0]) & (samples <= window[:, 1]), axis=1)
     if not inside.any():
         raise ValueError("empty window: no completed samples inside")

@@ -76,6 +76,9 @@ def test_negative_steps_rejected_with_key_name(capsys):
     ("charfn --lambdas 1,inf", "lambdas"),
     ("density --bandwidth 1,nan,1", "bandwidth"),
     ("check-smoothness --point 0,0,inf", "point"),
+    ("density --window=-inf:inf,-1:1,-1:1", "window"),
+    ("density --window=1:-1,-1:1,-1:1", "window"),
+    ("density --window=-1:nan,-1:1,-1:1", "window"),
 ])
 def test_malformed_value_is_config_error(argv, key, tmp_path, capsys, monkeypatch):
     """A malformed value exits 2 naming its key, before any path is run."""
@@ -210,6 +213,52 @@ def test_density_command(tmp_path):
     assert "# bandwidth" in text
     header = next(l for l in text.splitlines() if not l.startswith("#"))
     assert header.endswith("density")
+
+
+@pytest.mark.parametrize("argv", [
+    # 21^3 = 9261 rows: three CSV_CHUNKs
+    "density --model heisenberg_phase --n 1 --paths 300 --steps 20 --seed 12",
+    # 6^5 = 7776 rows
+    "density --model heisenberg --n 2 --grid-points 6 --paths 300 --steps 20 --seed 13",
+    # the v1 axis ends at -0, the u1 axis starts at +0
+    "density --paths 400 --steps 20 --seed 14 --window=-0:1,-1:-0,-1:1",
+])
+def test_density_csv_matches_per_cell_reference(argv, tmp_path, monkeypatch):
+    """The density body is the float node mesh and the density, each cell
+    formatted on its own with %.17g."""
+    seen = []
+
+    def estimate(*args, **kwargs):
+        seen.append(cli_estimate(*args, **kwargs))
+        return seen[-1]
+
+    cli_estimate = cli.estimate_density
+    monkeypatch.setattr(cli, "estimate_density", estimate)
+    out = tmp_path / "dens.csv"
+    assert main(argv.split() + ["--output", str(out)]) == 0
+    est, = seen
+    nodes = np.meshgrid(*est.axes, indexing="ij")
+    cells = np.stack([col.ravel() for col in (*nodes, est.values)], axis=1)
+    expected = [",".join("%.17g" % v for v in row) for row in cells.tolist()]
+    body = [l for l in _read(out).decode().splitlines() if not l.startswith("#")][1:]
+    assert body == expected
+    if "-1:-0" in argv:
+        assert {r.split(",")[1] for r in body} >= {"-1", "-0"}
+        assert {r.split(",")[0] for r in body} >= {"0", "1"}
+
+
+@pytest.mark.parametrize("names, table, match", [
+    (["a", "b"], [[1.0, 2.0]], "2 column names for 1 columns"),
+    (["a", "b", "c"], [[1.0], [2.0]], "3 column names for 2 columns"),
+    (["a", "b"], [[1.0, 2.0], [3.0, 4.0, 5.0]], "differ in shape"),
+    (["a", "b"], [[1.0, 2.0, 3.0], [4.0]], "differ in shape"),
+])
+def test_write_csv_rejects_mismatched_columns(names, table, match, tmp_path):
+    out = tmp_path / "t.csv"
+    cfg = parse_config(["check-model"])
+    with pytest.raises(ValueError, match=match):
+        cli._write_csv(str(out), cfg, names, table)
+    assert not out.exists()
 
 
 def test_line_integral_command(tmp_path):

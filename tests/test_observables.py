@@ -374,6 +374,15 @@ def test_density_empty_window(heis1, terminal_ensemble):
         estimate_density(terminal_ensemble, heis1, window)
 
 
+@pytest.mark.parametrize("bad_axis", [
+    [-np.inf, np.inf], [1.0, -1.0], [-1.0, np.nan], [0.5, 0.5],
+])
+def test_density_window_needs_finite_increasing_bounds(heis1, terminal_ensemble, bad_axis):
+    window = np.array([bad_axis, [-1.0, 1.0], [-1.0, 1.0]])
+    with pytest.raises(ValueError, match="finite bounds with lo < hi"):
+        estimate_density(terminal_ensemble, heis1, window)
+
+
 def test_dilation_scaling_ks(heis1):
     """Parabolic scaling: (z, tau)(t) matches (sqrt(t) z, t tau)(1) per marginal."""
     n_paths = 20_000

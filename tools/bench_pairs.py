@@ -11,9 +11,13 @@ each copy with the same seed (the pair index plus one); which side runs
 first alternates from pair to pair, so slow drift of the host falls on
 both sides alike.  Runs are sequential, one process at a time.
 
-For every workload the output holds each side's per-run end-to-end
-metrics and their medians and quartiles, the after/before ratio of the
-medians, and how many pairs the after side won on each metric.  It also
+A run that exits non-zero (or times out) does not stop the tool: its
+side, seed, exit code and last stderr lines are recorded under its
+workload, and the next run goes on.  For every workload the output holds
+each side's per-run end-to-end metrics and their medians and quartiles,
+the after/before ratio of the medians, and how many pairs the after side
+won on each metric, all taken over the pairs where both sides succeeded;
+it also counts the pairs used and the runs that failed.  The file
 records the before commit, both sides' source hashes, the CPU count and
 model, the run length and the pair count.  The file is committed with the
 change it measures, so it cannot name that commit: the after commit is
@@ -30,6 +34,7 @@ import subprocess
 import sys
 
 PAIRS = 10
+STDERR_LINES = 5  # lines of a failed run's stderr kept in the report
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -44,6 +49,16 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
                 if line.startswith('{"provenance"'))
     result["provenance"] = head["provenance"]
     return result
+
+
+def _failure(side: str, seed: int, exc: subprocess.SubprocessError) -> dict:
+    """What is kept of a failed run: where it ran and how it ended."""
+    err = exc.stderr or ""
+    if isinstance(err, bytes):
+        err = err.decode(errors="replace")
+    return {"side": side, "seed": seed,
+            "exit_code": getattr(exc, "returncode", None),
+            "stderr_tail": err.strip().splitlines()[-STDERR_LINES:]}
 
 
 def quartiles(values: list) -> list:
@@ -86,13 +101,29 @@ def main(argv=None) -> int:
     }
     for name in (w["name"] for w in spec["workloads"]):
         runs = {"before": [], "after": []}
+        failed = []
         for k in range(PAIRS):
             order = ("before", "after") if k % 2 == 0 else ("after", "before")
+            pair = {}
             for side in order:
-                runs[side].append(run_once(sides[side], name, k + 1, seconds))
-                print(name, k, side, json.dumps(runs[side][-1]["metrics"]),
+                try:
+                    pair[side] = run_once(sides[side], name, k + 1, seconds)
+                except subprocess.SubprocessError as exc:
+                    failed.append(_failure(side, k + 1, exc))
+                    print(name, k, side, "failed", json.dumps(failed[-1]),
+                          file=sys.stderr, flush=True)
+                    continue
+                print(name, k, side, json.dumps(pair[side]["metrics"]),
                       file=sys.stderr, flush=True)
-        entry = {side: summarize(runs[side], metrics) for side in sides}
+            if len(pair) == 2:
+                for side in sides:
+                    runs[side].append(pair[side])
+        entry = {"pairs_used": len(runs["after"]), "failed_runs": len(failed),
+                 "failures": failed}
+        report["workloads"][name] = entry
+        if not runs["after"]:
+            continue
+        entry.update((side, summarize(runs[side], metrics)) for side in sides)
         for m in metrics:
             key, lower = m["name"], m["better"] == "lower"
             b, a = entry["before"][key], entry["after"][key]
@@ -100,12 +131,12 @@ def main(argv=None) -> int:
                        for x, y in zip(a["runs"], b["runs"]))
             a["ratio_to_before"] = a["median"] / b["median"] if b["median"] else None
             a["pairs_won"] = wins
-        report["workloads"][name] = entry
         report.setdefault("provenance", {
             side: {k: runs[side][0]["provenance"][k]
                    for k in ("source_sha256", "nproc", "cpu_model", "numpy",
                              "blas", "blas_threads")}
             for side in sides})
+    report["failed_runs"] = sum(w["failed_runs"] for w in report["workloads"].values())
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
