@@ -404,8 +404,8 @@ def _cmd_density(cfg: RunConfig) -> int:
     try:
         est = estimate_density(ens, m, window, grid_points=p["grid_points"], bandwidth=bw)
     except ValueError as exc:
-        # no completed sample inside the explicit window, or a zero-width
-        # auto window (every sample shares a coordinate)
+        # no completed sample inside the explicit window, or samples that
+        # share a coordinate (a zero-width auto window or a zero bandwidth)
         print(f"density: {exc}", file=sys.stderr)
         return 1
     # one row per grid node: its coordinates, then the density; each axis

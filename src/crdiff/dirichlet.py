@@ -83,8 +83,11 @@ def koranyi_ball(n: int, radius: float) -> Domain:
     r4 = radius**4
 
     def phi(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        zsq = np.sum(x[..., : 2 * n] ** 2, axis=-1)
+        # |z|^2 a column at a time, added left to right as np.sum adds the
+        # 2n squares of a row, so the bits are np.sum's; x is a float array
+        zsq = x[..., 0] ** 2
+        for a in range(1, 2 * n):
+            zsq = zsq + x[..., a] ** 2
         return zsq**2 + x[..., 2 * n] ** 2 - r4
 
     box = np.empty((dim, 2))
@@ -168,7 +171,8 @@ def _refine_events(
     normals from the Philox stream with round keys key (_refine_key), for
     the splitting events only.
 
-    Returns (kind, t_in_step, x_out, e_out, residual) arrays.
+    Returns (kind, t_in_step, x_out, e_out, residual) arrays; t_in_step
+    is the time of the recorded state within the step, dt for a resume.
     """
     c_count, n = x_pre.shape[0], m.n
     cur_x, cur_e, cur_db = x_pre.copy(), e_pre.copy(), db.copy()
@@ -187,6 +191,8 @@ def _refine_events(
     out_r = np.zeros(c_count)
 
     def settle(rows, what, x_end, e_end, phi_end):
+        if not rows.size:
+            return
         kind[rows] = what
         out_t[rows] = t_off[rows] + h[rows]
         out_x[rows] = x_end
@@ -222,9 +228,12 @@ def _refine_events(
             cur_x[idx] = x_end[inside]
             cur_e[idx] = e_end[inside]
             t_off[idx] += h[idx]
+            # nothing pending: the step is traversed, resume at its end
             resume = depth[idx] == 0
-            settle(idx[resume], REFINE_RESUME, x_end[inside][resume],
+            rs = idx[resume]
+            settle(rs, REFINE_RESUME, x_end[inside][resume],
                    e_end[inside][resume], phi_end[inside][resume])
+            out_t[rs] = dt
             pop = idx[~resume]
             depth[pop] -= 1
             cur_db[pop] = stack_db[pop, depth[pop]]
@@ -345,7 +354,9 @@ def _exit_block(
 ):
     """Exit sampling for one block of paths; x0 is (P, D).
 
-    Runs in passes.  A pass steps only the live rows and sets each
+    Runs in passes.  A pass steps only the live rows, whose states it
+    holds packed (entering rows join by one sort, leaving rows go by one
+    compaction on the steps where some row leaves), and sets each
     crossing row aside at its crossing step; the batched refinement then
     settles the crossings (exit or resume).  Each step draws noise only
     for the sub-blocks that hold a live row.  A resumed path re-enters the
@@ -390,7 +401,9 @@ def _exit_block(
         joins = dict(zip(entry.tolist(), np.split(rows, first[1:])))
         next_saved = {}
         crossings = []
+        # row i of xl, el is the state of path live[i]
         live = np.empty(0, dtype=np.int64)
+        xl, el = x[live], e[live]
         k = int(entry[0])
 
         while k < n_steps:
@@ -400,7 +413,11 @@ def _exit_block(
                 # restore only moves the generators of idle sub-blocks
                 for s in _subs_of(new, n_sub):
                     rngs[s].bit_generator.state = saved[(s, k)]
-                live = np.sort(np.concatenate([live, new]))
+                live = np.concatenate([live, new])
+                order = np.argsort(live)
+                live = live[order]
+                xl = np.concatenate([xl, x[new]])[order]
+                el = np.concatenate([el, e[new]])[order]
                 subs = _subs_of(live, n_sub)
             elif not live.size:
                 # nothing to step until the next entry
@@ -411,32 +428,35 @@ def _exit_block(
             gl = _draw_normals(rngs, g, subs)[live]
             db = _scaled_increments(gl, scale)
             reunit = bool(reunit_every) and (k + 1) % reunit_every == 0
-            x_new, e_new, _ = _heun(m, x[live], e[live], db, reunit)
+            x_new, e_new, _ = _heun(m, xl, el, db, reunit)
             phi = d.phi_at(x_new)
-            bad = ~np.isfinite(phi)
-            gone = (phi >= 0) | bad
-            if gone.any():
+            # one test for the usual step: every row strictly inside and
+            # finite (NaN fails the max, -inf the min)
+            if not (phi.max() < 0 and phi.min() > -np.inf):
+                keep = phi < 0
+                crossed = ~keep
+                bad = ~np.isfinite(phi)
                 if bad.any():
                     idx = live[bad]
                     tau[idx] = k * dt
-                    points[idx] = x[idx]
-                    resid[idx] = d.phi_at(x[idx])
+                    points[idx] = xl[bad]
+                    resid[idx] = d.phi_at(xl[bad])
                     status[idx] = STATUS_NONFINITE
-                crossed = gone & ~bad
+                    keep &= ~bad
+                    crossed &= ~bad
                 if crossed.any():
                     idx = live[crossed]
-                    crossings.append((idx, k, x[idx], e[idx], db[crossed]))
+                    crossings.append((idx, k, xl[crossed], el[crossed], db[crossed]))
                     for s in _subs_of(idx, n_sub):
                         next_saved[(s, k + 1)] = rngs[s].bit_generator.state
-                keep = ~gone
                 live, x_new, e_new = live[keep], x_new[keep], e_new[keep]
                 subs = _subs_of(live, n_sub)
-            x[live], e[live] = x_new, e_new
+            xl, el = x_new, e_new
             k += 1
 
         # paths that ran out the horizon in this pass
-        points[live] = x[live]
-        resid[live] = d.phi_at(x[live])
+        points[live] = xl
+        resid[live] = d.phi_at(xl)
         pending[:] = False
         saved = next_saved
 

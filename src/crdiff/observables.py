@@ -154,13 +154,22 @@ def semigroup_average(ens: Ensemble, f: Callable[[np.ndarray], np.ndarray]) -> S
 
 def _bandwidth(samples: np.ndarray, rule) -> np.ndarray:
     m_count, dim = samples.shape
-    sig = samples.std(axis=0, ddof=1)
     if isinstance(rule, str):
+        sig = samples.std(axis=0, ddof=1)
         if rule == "scott":
-            return sig * m_count ** (-1.0 / (dim + 4))
-        if rule == "silverman":
-            return sig * (4.0 / (dim + 2)) ** (1.0 / (dim + 4)) * m_count ** (-1.0 / (dim + 4))
-        raise ValueError(f"unknown bandwidth rule '{rule}'")
+            bw = sig * m_count ** (-1.0 / (dim + 4))
+        elif rule == "silverman":
+            bw = sig * (4.0 / (dim + 2)) ** (1.0 / (dim + 4)) * m_count ** (-1.0 / (dim + 4))
+        else:
+            raise ValueError(f"unknown bandwidth rule '{rule}'")
+        # samples without spread on an axis give a zero bandwidth there,
+        # and a kernel of width zero divides by it
+        bad = np.flatnonzero(~(np.isfinite(bw) & (bw > 0)))
+        if bad.size:
+            raise ValueError(
+                f"{rule} bandwidth is {bw[bad[0]]:g} on axis {bad[0]}: "
+                "the samples need a finite, non-zero spread on every axis")
+        return bw
     bw = np.asarray(rule, dtype=float)
     if bw.shape != (dim,) or np.any(bw <= 0):
         raise ValueError("explicit bandwidth must be a positive vector per axis")

@@ -48,6 +48,22 @@ def nan_beyond():
     return _nan_beyond
 
 
+def _ninf_beyond(d, radius):
+    """The domain with a defining function that turns -inf once |u1|
+    exceeds radius: read as inside by a bare phi < 0 test, but not finite
+    (no polynomial phi, such as the Koranyi ball's, reaches -inf)."""
+
+    def phi(x):
+        return np.where(np.abs(x[..., 0]) > radius, -np.inf, d.phi(x))
+
+    return dataclasses.replace(d, name=f"{d.name} with -inf beyond {radius}", phi=phi)
+
+
+@pytest.fixture(scope="session")
+def ninf_beyond():
+    return _ninf_beyond
+
+
 class UnitarityObserver:
     """Per-path running maximum of the frame unitarity defect."""
 

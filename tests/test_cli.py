@@ -202,6 +202,19 @@ def test_density_empty_window_is_runtime_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_density_zero_bandwidth_is_runtime_failure(tmp_path, capsys):
+    """Samples without spread (no steps) give a zero Scott bandwidth on
+    every axis: exit 1 naming the axis, where the table was all NaN."""
+    out = tmp_path / "dens.csv"
+    args = (f"density --steps 0 --paths 200 --window=-1:1,-1:1,-1:1 "
+            f"--output {out}").split()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("density: ") and "bandwidth is 0 on axis 0" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_density_command(tmp_path):
     out = tmp_path / "dens.csv"
     args = (

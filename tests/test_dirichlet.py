@@ -18,7 +18,10 @@ from crdiff import (
 from crdiff.dirichlet import (
     DELTA_BAND,
     EXIT_STATUS_NAMES,
+    REFINE_EXIT,
+    REFINE_RESUME,
     STATUS_EXITED,
+    STATUS_HORIZON,
     STATUS_NONFINITE,
     Domain,
 )
@@ -35,6 +38,104 @@ def test_domain_geometry():
     assert BALL.phi_at(np.zeros(3)) == pytest.approx(-1.0)
     assert BALL.phi_at(np.array([0.0, 0.0, 1.0])) == pytest.approx(0.0)
     assert bool(BALL.contains(np.array([0.3, 0.0, 0.0])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_koranyi_phi_bits(n):
+    """The column-wise defining function has the bits of the np.sum form,
+    on batches of two shapes and on single points."""
+    radius = 0.8
+    d = koranyi_ball(n, radius)
+
+    def reference(x):
+        return np.sum(x[..., : 2 * n] ** 2, -1) ** 2 + x[..., 2 * n] ** 2 - radius**4
+
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((600, 2 * n + 1)) * rng.uniform(0.01, 3.0, (600, 1))
+    assert d.phi(x).tobytes() == reference(x).tobytes()
+    batch = x.reshape(20, 30, 2 * n + 1)
+    assert d.phi(batch).tobytes() == reference(batch).tobytes()
+    for point in x[:100]:
+        assert np.float64(d.phi_at(point)).tobytes() == np.float64(reference(point)).tobytes()
+
+
+def _spy_refinement(monkeypatch) -> list:
+    """Record (paths, kind, t_in_step) of every _refine_events call."""
+    calls = []
+    refine = dirichlet._refine_events
+
+    def spy(m, d, x_pre, e_pre, db, dt, key, paths, *rest):
+        out = refine(m, d, x_pre, e_pre, db, dt, key, paths, *rest)
+        calls.append((paths, out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(dirichlet, "_refine_events", spy)
+    return calls
+
+
+def test_resume_time_is_step_length(heis1, monkeypatch):
+    """A resumed event reports its state at the end of the crossing step,
+    t_in_step = dt exactly; an exit lies within the step."""
+    calls = _spy_refinement(monkeypatch)
+    cfg = SimConfig(t_horizon=4.0, n_steps=400, seed=319)
+    sample_exits(heis1, np.zeros(3), BALL, cfg, 200)
+    kind = np.concatenate([c[1] for c in calls])
+    t_in = np.concatenate([c[2] for c in calls])
+    resumed = kind == REFINE_RESUME
+    assert resumed.any()
+    assert (t_in[resumed] == cfg.dt).all()
+    exits = t_in[kind == REFINE_EXIT]
+    assert ((exits > 0) & (exits <= cfg.dt)).all()
+
+
+@pytest.mark.parametrize("variant", ["nan", "-inf"])
+@pytest.mark.parametrize("model", ["heis1", "gauge1"])
+def test_packed_rows_match_lone_runs(request, nan_beyond, ninf_beyond, monkeypatch,
+                                     model, variant):
+    """In one block, rows start outside, cross, resume, turn non-finite
+    (phi NaN, or phi -inf on a domain that reads -inf as inside) and run
+    out the horizon, and resumed rows re-enter a second pass at different
+    steps.  Each row gets the record it gets as the only row of the block
+    that steps: every other row starts outside and exits at once.  On the
+    gauge model the frames move, so a frame joined to the wrong row shows."""
+    m = request.getfixturevalue(model)
+    ball = koranyi_ball(1, 0.5)
+    if variant == "nan":
+        m, d = nan_beyond(m, 0.3), ball
+    else:
+        d = ninf_beyond(ball, 0.3)
+    p_count = 128
+    rng = np.random.default_rng(1)
+    starts = np.column_stack([rng.uniform(-0.25, 0.25, p_count),
+                              rng.uniform(-0.4, 0.4, p_count),
+                              rng.uniform(-0.2, 0.2, p_count)])
+    cfg = SimConfig(t_horizon=0.4, n_steps=20, seed=406)
+    calls = _spy_refinement(monkeypatch)
+    batch = sample_exits(m, starts, d, cfg, p_count)
+
+    # the first pass exits and resumes crossings; rows that never cross
+    # retire as nonfinite or run out the horizon in it
+    first_kinds = calls[0][1]
+    assert (first_kinds == REFINE_EXIT).any() and (first_kinds == REFINE_RESUME).any()
+    crossed = np.concatenate([c[0] for c in calls])
+    for status in (STATUS_NONFINITE, STATUS_HORIZON):
+        assert np.setdiff1d(np.flatnonzero(batch.status == status), crossed).size
+    resumed = np.concatenate([c[0][c[1] == REFINE_RESUME] for c in calls])
+    assert len(calls) >= 2 and np.unique(resumed).size >= 2
+    assert ((batch.tau == 0) & batch.exited).any()
+
+    outside = np.array([0.0, 0.0, 2.0])
+    assert d.phi_at(outside) > 0
+    fields = ("tau", "points", "status", "phi_residual")
+    lone = {f: np.empty_like(getattr(batch, f)) for f in fields}
+    for i in range(p_count):
+        alone = np.tile(outside, (p_count, 1))
+        alone[i] = starts[i]
+        one = sample_exits(m, alone, d, cfg, p_count)
+        for f in fields:
+            lone[f][i] = getattr(one, f)[i]
+    for f in fields:
+        assert lone[f].tobytes() == getattr(batch, f).tobytes(), f
 
 
 def test_exit_from_outside_is_instant(heis1):
