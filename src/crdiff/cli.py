@@ -454,6 +454,9 @@ def _cmd_charfn(cfg: RunConfig) -> int:
     lambdas = _floats("lambdas", p["lambdas"])
     ens = simulate_ensemble(m, s0, sim, p["paths"], n_workers=p["workers"])
     samples = ens.x[ens.completed][:, names.index(obs)]
+    if samples.size < 100:
+        print("charfn: fewer than 100 completed paths", file=sys.stderr)
+        return 1
     cf = char_function(samples, lambdas)
     out = _output_path(p, cfg.command)
     _write_csv(out, cfg, ["lambda", "re", "im", "se_re", "se_im"],
@@ -546,6 +549,11 @@ def _cmd_dirichlet(cfg: RunConfig) -> int:
     else:
         raise ConfigError(f"unknown boundary data preset '{data_raw}'")
     x0 = _point(p, "start", m.dim)
+    # a path from outside would "exit" where it starts, at tau = 0
+    phi0 = float(domain.phi_at(x0))
+    if phi0 > 0:
+        raise ConfigError(
+            f"key 'start' lies outside the domain {domain.name} (phi = {phi0:.6g})")
     try:
         res = solve_dirichlet(
             m, domain, f, x0, p["paths"], sim, n_workers=p["workers"],

@@ -337,6 +337,11 @@ def _event_zdraws(key, paths: np.ndarray, steps: np.ndarray,
     return g.reshape(len(lv), 2 * n)
 
 
+def _take(a: np.ndarray | None, rows):
+    """a[rows], or None for the frame that a flat connection does not carry."""
+    return None if a is None else a[rows]
+
+
 def _subs_of(rows: np.ndarray, n_sub: int) -> list:
     """The sub-blocks, in order, that hold one of the block rows ``rows``."""
     return np.flatnonzero(np.bincount(rows // SUB_BLOCK, minlength=n_sub)).tolist()
@@ -366,13 +371,18 @@ def _exit_block(
     replays the stream from step 0.  Each resume moves a path forward by
     at least one step, so the passes end.  A row whose phi turns NaN or
     infinite leaves the live set at once, retired as nonfinite at its
-    last finite state.
+    last finite state.  Paths start from the identity frame, which a flat
+    connection keeps: on a flat model the loop carries no frame (e, el
+    are None), the increments are the frame coefficients, and the
+    refinement gets I for the crossing rows.
     """
     n = m.n
     p_count = x0.shape[0]
     n_steps, dt = cfg.n_steps, cfg.dt
     x = x0.astype(float).copy()
-    e = np.broadcast_to(np.eye(n, dtype=complex), (p_count, n, n)).copy()
+    e = None
+    if not m.flat_connection:
+        e = np.broadcast_to(np.eye(n, dtype=complex), (p_count, n, n)).copy()
     tau = np.full(p_count, cfg.t_horizon)
     status = np.full(p_count, STATUS_HORIZON, dtype=np.uint8)
     points = x.copy()
@@ -403,7 +413,7 @@ def _exit_block(
         crossings = []
         # row i of xl, el is the state of path live[i]
         live = np.empty(0, dtype=np.int64)
-        xl, el = x[live], e[live]
+        xl, el = x[live], _take(e, live)
         k = int(entry[0])
 
         while k < n_steps:
@@ -417,7 +427,8 @@ def _exit_block(
                 order = np.argsort(live)
                 live = live[order]
                 xl = np.concatenate([xl, x[new]])[order]
-                el = np.concatenate([el, e[new]])[order]
+                if e is not None:
+                    el = np.concatenate([el, e[new]])[order]
                 subs = _subs_of(live, n_sub)
             elif not live.size:
                 # nothing to step until the next entry
@@ -446,10 +457,11 @@ def _exit_block(
                     crossed &= ~bad
                 if crossed.any():
                     idx = live[crossed]
-                    crossings.append((idx, k, xl[crossed], el[crossed], db[crossed]))
+                    crossings.append(
+                        (idx, k, xl[crossed], _take(el, crossed), db[crossed]))
                     for s in _subs_of(idx, n_sub):
                         next_saved[(s, k + 1)] = rngs[s].bit_generator.state
-                live, x_new, e_new = live[keep], x_new[keep], e_new[keep]
+                live, x_new, e_new = live[keep], x_new[keep], _take(e_new, keep)
                 subs = _subs_of(live, n_sub)
             xl, el = x_new, e_new
             k += 1
@@ -463,10 +475,14 @@ def _exit_block(
         if crossings:
             idx = np.concatenate([c[0] for c in crossings])
             steps = np.concatenate([np.full(c[0].size, c[1]) for c in crossings])
+            if e is None:
+                # the refinement of a flat model's step starts from I
+                e_pre = np.broadcast_to(np.eye(n, dtype=complex), (idx.size, n, n))
+            else:
+                e_pre = np.concatenate([c[3] for c in crossings])
             kind, t_in, x_out, e_out, r_out = _refine_events(
                 m, d,
-                np.concatenate([c[2] for c in crossings]),
-                np.concatenate([c[3] for c in crossings]),
+                np.concatenate([c[2] for c in crossings]), e_pre,
                 np.concatenate([c[4] for c in crossings]), dt,
                 key, idx + path_offset, steps,
                 delta_band, max_levels, bool(reunit_every),
@@ -481,7 +497,8 @@ def _exit_block(
             res = kind == REFINE_RESUME
             rs = idx[res]
             x[rs] = x_out[res]
-            e[rs] = e_out[res]
+            if e is not None:
+                e[rs] = e_out[res]
             start_step[rs] = steps[res] + 1
             pending[rs] = True
             pending &= start_step < n_steps

@@ -91,6 +91,7 @@ def velocity_arrays(
     flat connection G = 0: de is a read-only broadcast zero and neither is
     evaluated.  w, when given, must be frame_coords(e, xi); a caller that
     evaluates several states with one frame passes it to contract once.
+    On a flat connection e is then not read and may be None.
     """
     n = m.n
     if w is None:

@@ -107,12 +107,25 @@ class ModelDescriptor:
     frame_jacobian(x)  -> (..., D, D, n), [k, j, a] = d_j (Z_{a+1})^k, or None
     chart_bound        -> (D, 2) closed box of chart validity, or None; any
                           array-like of that shape, stored as a float array
-    flat_connection    -> True declares that christoffel vanishes everywhere.
-                          Parallel transport is then the identity, and the
-                          integrator carries the frame unchanged without
-                          evaluating christoffel.  The declaration is probed
-                          at one point inside the chart on construction,
-                          including through dataclasses.replace.
+    flat_connection    -> True declares that christoffel vanishes everywhere
+                          and that the horizontal lines are straight in the
+                          chart: the base velocity of fixed coefficients w
+                          is the same along its own line,
+                          base_velocity(x + base_velocity(x, w), w)
+                          == base_velocity(x, w), as on the Heisenberg
+                          group, where such a line is a group translation
+                          (heisenberg_model).  Parallel transport is then
+                          the identity and a Heun step is the translation
+                          x + dx: the integrator carries the frame
+                          unchanged without evaluating christoffel and
+                          takes one velocity evaluation per step.  Both
+                          parts are probed at one point inside the chart on
+                          construction, including through
+                          dataclasses.replace (relative FRAME_ACTION_RTOL
+                          for the line; a velocity that is not finite at
+                          either end of it is not judged).  A replacement
+                          frame that is not straight there needs
+                          flat_connection=False.
     connection(x, w, dx) -> (..., n, n) complex, or None: the connection
                           form along X = dx = sum_b w_b Z_b + conj, as the
                           matrix G[g, d] = sum_b w_b Gamma_{b, d}^{g}
@@ -163,28 +176,49 @@ class ModelDescriptor:
         probe = 0.1 + (0.2 / (self.dim - 1)) * np.arange(self.dim)
         if self.chart_bound is not None:
             probe = np.clip(probe, self.chart_bound[:, 0], self.chart_bound[:, 1])
-        if self.frame_action is not None:
-            self._check_frame_action(probe)
-        if self.flat_connection and np.any(np.asarray(self.christoffel(probe)) != 0):
-            raise ValueError(
-                f"model '{self.name}' declares a flat connection but its "
-                "Christoffel symbols do not vanish"
-            )
-
-    def _check_frame_action(self, probe: np.ndarray) -> None:
         w = (0.7 - 0.2j) - (0.4 - 1.1j) * np.arange(self.n)
+        dx = None
+        if self.frame_action is not None:
+            dx = self._check_frame_action(probe, w)
+        if self.flat_connection:
+            if np.any(np.asarray(self.christoffel(probe)) != 0):
+                raise ValueError(
+                    f"model '{self.name}' declares a flat connection but its "
+                    "Christoffel symbols do not vanish"
+                )
+            self._check_straight(probe, w, dx)
+
+    def _check_frame_action(self, probe: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The frame action at the probe, checked against the frame."""
         act = np.asarray(self.frame_action(probe, w), dtype=float)
         ref = 2.0 * (self.frame(probe) @ w).real
         err = np.abs(act - ref).max()
         if err <= FRAME_ACTION_RTOL * np.abs(ref).max():
-            return
+            return act
         # a frame that is NaN at the probe is matched by an action NaN there
         if np.isnan(ref).all() and np.isnan(act).all():
-            return
+            return act
         raise ValueError(
             f"frame_action of model '{self.name}' disagrees with its frame "
             f"(residual {err:.3e})"
         )
+
+    def _check_straight(self, probe: np.ndarray, w: np.ndarray, dx) -> None:
+        """The flat step's premise: the velocity dx at the probe is the
+        velocity one step along it.  dx is the probe velocity when the
+        frame-action check has it."""
+        if dx is None:
+            dx = np.asarray(self.base_velocity(probe, w), dtype=float)
+        moved = np.asarray(self.base_velocity(probe + dx, w), dtype=float)
+        err = np.abs(moved - dx).max()
+        # NaN compares false, so a model that is not defined at either end
+        # (a frame NaN past some radius) is not judged: a flat step into
+        # such a region turns non-finite whatever the declaration
+        if err > FRAME_ACTION_RTOL * np.abs(dx).max():
+            raise ValueError(
+                f"model '{self.name}' declares a flat connection but its "
+                f"base velocity changes along a horizontal line (residual {err:.3e})"
+            )
 
     @property
     def dim(self) -> int:
@@ -248,7 +282,11 @@ def heisenberg_model(n: int) -> ModelDescriptor:
     (d/dz^a = (d/du^a - i d/dv^a)/2), vanishing Christoffel symbols
     (declared as a flat connection), transverse field 2 d/dt, and the
     standard contact form (dt + 2 sum(u dv - v du))/2.  The frame action
-    dx = 2 Re(Z w) is supplied in closed form.
+    dx = 2 Re(Z w) is supplied in closed form.  Its horizontal lines are
+    straight, as flat_connection also declares: the velocity
+    (Re w, Im w, 2 sum(v Re w - u Im w)) is constant along the line, and
+    a unit step along it is the right translation by the group element
+    (Re w, Im w, 0) (Gaveau 1977, Acta Math. 139).
     """
     if n <= 0:
         raise ValueError(f"n must be a positive integer, got {n}")

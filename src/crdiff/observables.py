@@ -359,8 +359,11 @@ class LineIntegralObserver:
     Each step adds the trapezoidal average of the integrand at the pre-step
     and post-step states of the rows in the mask.  The pre-step term pairs
     the form with dx0, the Heun kernel's own pre-step velocity, when the
-    stepping loop hands it over; only the real part is accumulated, the
-    part ``values`` reports.
+    stepping loop hands it over.  On a flat model, whose horizontal lines
+    are straight, the step is x1 = x0 + dx0 with the frame unchanged, so
+    dx0 is the post-step velocity too and the post-step term pairs with
+    it as well.  Only the real part is accumulated, the part ``values``
+    reports.
     """
 
     def __init__(self, m: ModelDescriptor, form: OneForm, n_slots: int):
@@ -369,8 +372,9 @@ class LineIntegralObserver:
         self._acc = np.zeros(n_slots)
 
     def __call__(self, _k, x0, e0, x1, e1, db, mask, dx0=None) -> None:
+        dx1 = dx0 if self.m.flat_connection else None
         val = (_integrand(self.m, self.form, x0, e0, db, dx0)
-               + _integrand(self.m, self.form, x1, e1, db)).real
+               + _integrand(self.m, self.form, x1, e1, db, dx1)).real
         if mask.all():
             self._acc += 0.5 * val
         else:

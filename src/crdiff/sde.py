@@ -244,15 +244,15 @@ def _heun(m: ModelDescriptor, x, e, db, reunitarize: bool):
     Returns (x_new, e_new, dx1), dx1 the base velocity at the pre-step
     state (the line-integral observer's pre-step term).  On a flat
     connection parallel transport is the identity: the frame is returned
-    as it came (the same array), no polar factor is taken, and both
-    evaluations share one w = e db.
+    as it came (the same array) and no polar factor is taken; e may then
+    be None, which stands for the identity frame (w = db).  The horizontal
+    lines of a flat model are straight, so dx2 = dx1 in exact arithmetic
+    and Heun, Euler and the translation x + dx1 coincide: one evaluation.
     """
     if m.flat_connection:
-        w = frame_coords(e, db)
+        w = db if e is None else frame_coords(e, db)
         dx1, _ = velocity_arrays(m, x, e, db, w=w)
-        x_new = x + dx1
-        dx2, _ = velocity_arrays(m, x_new, e, db, w=w)
-        return _average(x, dx1, dx2, x_new), e, dx1
+        return x + dx1, e, dx1
     dx1, de1 = velocity_arrays(m, x, e, db)
     x_new, e_new = x + dx1, e + de1
     dx2, de2 = velocity_arrays(m, x_new, e_new, db)

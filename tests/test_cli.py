@@ -295,6 +295,16 @@ def test_charfn_command(tmp_path):
     assert len(rows) == 3
 
 
+def test_charfn_too_few_paths_is_runtime_failure(tmp_path, capsys):
+    """Fewer than 100 completed paths exit 1 with one line on stderr, as
+    density does, not a traceback."""
+    out = tmp_path / "cf.csv"
+    assert main(f"charfn --paths 50 --steps 10 --output {out}".split()) == 1
+    err = capsys.readouterr().err
+    assert err == "charfn: fewer than 100 completed paths\n"
+    assert not out.exists()
+
+
 def test_check_hormander_command(tmp_path):
     out = tmp_path / "rank.csv"
     args = f"check-hormander --points 5 --max-order 2 --seed 11 --output {out}".split()
@@ -363,6 +373,25 @@ def test_dirichlet_command_and_flag_marker(tmp_path, capsys):
     ).split()
     assert main(args2) == 0
     assert "FLAGGED" in capsys.readouterr().out
+
+
+def test_dirichlet_start_outside_domain_is_config_error(tmp_path, capsys,
+                                                        monkeypatch):
+    """A start outside the domain is refused before any path runs: every
+    path would exit at tau = 0 where it started."""
+    import crdiff.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("solve_dirichlet called")
+
+    monkeypatch.setattr(cli, "solve_dirichlet", no_run)
+    out = tmp_path / "dir.csv"
+    args = f"dirichlet --paths 20 --steps 10 --start=2,0,0 --output {out}".split()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("crdiff: config error: key 'start'")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_dirichlet_records_reuse_the_solve_batch(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import crdiff.dirichlet as dirichlet
 from crdiff import (
     SimConfig,
     exit_sample,
+    heisenberg_model,
     koranyi_ball,
     mean_exit_time,
     regularity_probe,
@@ -86,6 +87,31 @@ def test_resume_time_is_step_length(heis1, monkeypatch):
     assert (t_in[resumed] == cfg.dt).all()
     exits = t_in[kind == REFINE_EXIT]
     assert ((exits > 0) & (exits <= cfg.dt)).all()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flat_exits_match_framed_heun(n, monkeypatch):
+    """The flat model carries no frame and steps by one evaluation; the
+    same model declared non-flat carries I through the general Heun step.
+    On seeded batches whose crossings resume, both give the same statuses
+    and exit times, and exit points within 1e-15."""
+    m = heisenberg_model(n)
+    framed = dataclasses.replace(m, flat_connection=False)
+    ball = koranyi_ball(n, 1.0)
+    rng = np.random.default_rng(40 + n)
+    starts = np.zeros((600, m.dim))
+    starts[:, 0] = rng.uniform(0.6, 0.97, 600)
+    starts[:, -1] = rng.uniform(-0.2, 0.2, 600)
+    calls = _spy_refinement(monkeypatch)
+    for seed in (7, 8):
+        cfg = SimConfig(t_horizon=2.0, n_steps=500, seed=seed)
+        calls.clear()
+        flat = sample_exits(m, starts, ball, cfg, 600)
+        assert any((c[1] == REFINE_RESUME).any() for c in calls)
+        ref = sample_exits(framed, starts, ball, cfg, 600)
+        np.testing.assert_array_equal(flat.status, ref.status)
+        np.testing.assert_array_equal(flat.tau, ref.tau)
+        np.testing.assert_allclose(flat.points, ref.points, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("variant", ["nan", "-inf"])

@@ -312,7 +312,9 @@ def test_frame_action_matches_frame_contraction(name, data):
 
 
 def test_base_velocity_falls_back_to_frame_contraction(heis1, gauge1):
-    m = dataclasses.replace(heis1, frame=gauge1.frame, frame_action=None)
+    # the gauge frame's horizontal lines are not straight: not flat
+    m = dataclasses.replace(heis1, frame=gauge1.frame, frame_action=None,
+                            flat_connection=False)
     x = POINTS[:4]
     w = np.array([[0.3 - 0.7j]] * 4)
     want = 2.0 * np.real(np.einsum("...kb,...b->...k", gauge1.frame(x), w))
@@ -328,6 +330,22 @@ def test_frame_action_disagreeing_with_frame_rejected(heis1, gauge1):
             heis1, frame_action=lambda x, w: 1.001 * heis1.frame_action(x, w))
     with pytest.raises(ValueError, match="frame_action"):
         dataclasses.replace(gauge1, frame_action=heis1.frame_action)
+
+
+def test_flat_connection_probes_straight_lines(heis1, gauge1, nan_beyond):
+    """A flat connection also declares straight horizontal lines.  The
+    declaration survives dataclasses.replace, so a frame whose lines are
+    not straight (the gauge frame turns with t) is rejected by the probe
+    unless the replacement declares the connection not flat.  A frame
+    that is NaN at the probe line's far end is not judged there."""
+    with pytest.raises(ValueError, match="changes along a horizontal line"):
+        dataclasses.replace(heis1, frame=gauge1.frame, frame_action=gauge1.frame_action)
+    with pytest.raises(ValueError, match="changes along a horizontal line"):
+        dataclasses.replace(heis1, frame=gauge1.frame, frame_action=None)
+    kept = dataclasses.replace(heis1, frame=gauge1.frame, frame_action=gauge1.frame_action,
+                               flat_connection=False)
+    assert not kept.flat_connection
+    assert nan_beyond(heis1, 0.3).flat_connection
 
 
 def test_volume_density_positive_constant(heis1, heis2):

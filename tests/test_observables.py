@@ -162,6 +162,27 @@ def test_observer_equals_stored_path_integral(case):
     assert abs(streamed[0] - stored) <= 1e-12
 
 
+def test_flat_observer_evaluates_no_velocity(heis2):
+    """On a flat model, whose horizontal lines are straight, the post-step
+    velocity is the kernel's dx0: a line-integral run evaluates the frame
+    action once per step, in the kernel, and never in the observer."""
+    calls = []
+
+    def frame_action(x, w):
+        calls.append(np.shape(x))
+        return heis2.frame_action(x, w)
+
+    counted = dataclasses.replace(heis2, frame_action=frame_action)
+    calls.clear()           # the construction probe's calls
+    cfg = SimConfig(t_horizon=0.5, n_steps=12, seed=206)
+    s0 = FrameState(np.zeros(5), np.eye(2))
+    got = line_integral_ensemble(counted, s0, cfg, 7, form_dt(2))
+    assert calls == [(7, 5)] * cfg.n_steps
+    want = line_integral_ensemble(heis2, s0, cfg, 7, form_dt(2))
+    assert got.observables["line_integral"].tobytes() == (
+        want.observables["line_integral"].tobytes())
+
+
 def test_contact_form_integral_vanishes_pathwise(heis1, stored_path):
     assert abs(line_integral(heis1, stored_path, theta_form(heis1))) <= 1e-12
 

@@ -202,17 +202,47 @@ def test_increments_width_must_equal_n(heis2):
 
 def test_flat_step_carries_frame(heis2):
     """On the flat model a step moves the base point only: the frame comes
-    back as the same array, also when reunitarization is due."""
+    back as the same array, also when reunitarization is due, and the base
+    point is translated along its straight horizontal line, x + dx with
+    dx the frame action at w = e dB.  The horizontal coordinates keep the
+    bits of the general Heun step; t agrees with it to rounding."""
     rng = np.random.default_rng(46)
     x = rng.normal(size=(6, 5))
     e = np.broadcast_to(np.eye(2, dtype=complex), (6, 2, 2)).copy()
     db = (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))) * 0.05
-    x_new, e_new, _ = _heun(heis2, x, e, db, True)
+    x_new, e_new, dx = _heun(heis2, x, e, db, True)
     assert e_new is e
+    w = np.einsum("...ba,...a->...b", e, db)
+    np.testing.assert_array_equal(dx, heis2.frame_action(x, w))
+    np.testing.assert_array_equal(x_new, x + heis2.frame_action(x, w))
     general = dataclasses.replace(heis2, flat_connection=False)
     x_ref, e_ref, _ = _heun(general, x, e, db, True)
-    np.testing.assert_array_equal(x_new, x_ref)
+    np.testing.assert_array_equal(x_new[:, :4], x_ref[:, :4])
+    np.testing.assert_allclose(x_new[:, 4], x_ref[:, 4], rtol=0, atol=1e-15)
     np.testing.assert_array_equal(e_new, e_ref)
+
+
+def test_flat_step_evaluates_velocity_once(heis2, monkeypatch):
+    """A flat model, whose horizontal lines are straight, steps with one
+    velocity_arrays call; the general Heun step takes two."""
+    calls = []
+    evaluate = sde.velocity_arrays
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(sde, "velocity_arrays", counting)
+    rng = np.random.default_rng(47)
+    x = rng.normal(size=(6, 5))
+    db = (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))) * 0.05
+    _heun(heis2, x, None, db, True)
+    assert calls == [6]
+    calls.clear()
+    general = dataclasses.replace(heis2, flat_connection=False)
+    e = np.broadcast_to(np.eye(2, dtype=complex), (6, 2, 2)).copy()
+    _heun(general, x, e, db, True)
+    assert calls == [6, 6]
 
 
 # --- paths -------------------------------------------------------------------
