@@ -219,6 +219,12 @@ def _validate(command: str, params: dict) -> None:
     for key in ("t_horizon", "cap"):
         if key in params and not params[key] > 0:
             raise ConfigError(f"key '{key}' must be positive")
+    if "delta_band" in params and not 0 < params["delta_band"] < np.inf:
+        raise ConfigError("key 'delta_band' must be positive and finite")
+    if "horizon_threshold" in params and not 0 <= params["horizon_threshold"] <= 1:
+        raise ConfigError("key 'horizon_threshold' must lie in [0, 1]")
+    if "kappa" in params and not np.isfinite(params["kappa"]):
+        raise ConfigError("key 'kappa' must be finite")
     if "format" in params and params["format"] not in ("csv", "pretty-text"):
         raise ConfigError("key 'format' must be csv or pretty-text")
 

@@ -50,6 +50,9 @@ DELTA_BAND = 1e-4
 # halvings of a crossing step before an exit outside the collar is accepted;
 # below 2**8, the width of the level field of the refinement counter
 MAX_REFINE_LEVELS = 30
+# most steps the exit loop advances its live rows between two crossing
+# tests; the results do not depend on it
+CHUNK = 16
 
 STATUS_EXITED = 0
 STATUS_HORIZON = 1
@@ -361,20 +364,38 @@ def _exit_block(
 
     Runs in passes.  A pass steps only the live rows, whose states it
     holds packed (entering rows join by one sort, leaving rows go by one
-    compaction on the steps where some row leaves), and sets each
-    crossing row aside at its crossing step; the batched refinement then
-    settles the crossings (exit or resume).  Each step draws noise only
-    for the sub-blocks that hold a live row.  A resumed path re-enters the
-    next pass at the step after its crossing, with its sub-block's
-    generator restored to the state saved right after that step's draw,
-    so every path consumes exactly the increments of its slot and no pass
-    replays the stream from step 0.  Each resume moves a path forward by
-    at least one step, so the passes end.  A row whose phi turns NaN or
-    infinite leaves the live set at once, retired as nonfinite at its
-    last finite state.  Paths start from the identity frame, which a flat
-    connection keeps: on a flat model the loop carries no frame (e, el
-    are None), the increments are the frame coefficients, and the
-    refinement gets I for the crossing rows.
+    compaction), and sets each crossing row aside at its crossing step;
+    the batched refinement then settles the crossings (exit or resume).
+
+    The live rows advance in chunks of up to CHUNK steps.  For each step
+    of a chunk, every sub-block that holds a live row draws its SUB_BLOCK
+    rows of normals, as a step-by-step loop would, and the state of each
+    generator that drew is saved right after the draw; the draws do not
+    depend on the states, so a chunk makes them first and scales the live
+    rows' increments in one call.  Then each step is one Heun step of the
+    packed rows.  The crossing test, the masks and the compaction run
+    once per chunk, on phi of all the chunk's states: a row stops at its
+    first step whose phi is not finite and negative, and the states it
+    reached after that step are dropped.  The per-row arithmetic is that
+    of a test after every step, so the bytes of the batch are too.
+
+    A chunk ends at the next join step and at n_steps; its length
+    restarts at 1 after each join and doubles up to CHUNK, so a joining
+    row that exits at once does not keep its sub-block drawing for a
+    whole chunk.  A sub-block whose rows all stop inside a chunk draws to
+    the chunk's end; its generator is only read again after a restore.
+
+    A resumed path re-enters the next pass at the step after its
+    crossing, with its sub-block's generator restored to the snapshot
+    taken right after that step's draw, so every path consumes exactly
+    the increments of its slot, no pass replays the stream from step 0,
+    and the samples do not depend on CHUNK.  Each resume moves a path
+    forward by at least one step, so the passes end.  A row whose phi
+    turns NaN or infinite is retired as nonfinite at its last finite
+    state.  Paths start from the identity frame, which a flat connection
+    keeps: on a flat model the loop carries no frame (e, el are None),
+    the increments are the frame coefficients, and the refinement gets I
+    for the crossing rows.
     """
     n = m.n
     p_count = x0.shape[0]
@@ -399,7 +420,7 @@ def _exit_block(
 
     n_sub = -(-p_count // SUB_BLOCK)
     rngs = [_block_rng(cfg.seed, block, s) for s in range(n_sub)]
-    g = np.empty((n_sub * SUB_BLOCK, 2 * n))
+    g = np.empty((CHUNK, n_sub * SUB_BLOCK, 2 * n))
     # state of sub-block s's generator before the draw of step k, keyed
     # (s, k), for every step k at which a path of s enters the coming pass
     saved = {(s, 0): rng.bit_generator.state for s, rng in enumerate(rngs)}
@@ -430,41 +451,61 @@ def _exit_block(
                 if e is not None:
                     el = np.concatenate([el, e[new]])[order]
                 subs = _subs_of(live, n_sub)
+                span = 1
             elif not live.size:
                 # nothing to step until the next entry
                 if not joins:
                     break
                 k = min(joins)
                 continue
-            gl = _draw_normals(rngs, g, subs)[live]
-            db = _scaled_increments(gl, scale)
-            reunit = bool(reunit_every) and (k + 1) % reunit_every == 0
-            x_new, e_new, _ = _heun(m, xl, el, db, reunit)
-            phi = d.phi_at(x_new)
-            # one test for the usual step: every row strictly inside and
+            kc = min(span, min(joins, default=n_steps) - k)
+            span = min(2 * span, CHUNK)
+            # snaps[j][s]: generator s's state after its draw of step k + j;
+            # db[j]: the live rows' increments of that step
+            snaps = []
+            for j in range(kc):
+                _draw_normals(rngs, g[j], subs)
+                snaps.append({s: rngs[s].bit_generator.state for s in subs})
+            db = _scaled_increments(g[:kc, live].reshape(-1, 2 * n), scale)
+            db = db.reshape(kc, live.size, n)
+            # xs[j], es[j]: the states before step k + j
+            xs, es = [xl], [el]
+            for j in range(kc):
+                reunit = bool(reunit_every) and (k + j + 1) % reunit_every == 0
+                x_new, e_new, _ = _heun(m, xs[-1], es[-1], db[j], reunit)
+                xs.append(x_new)
+                es.append(e_new)
+            xs = np.stack(xs)
+            phi = d.phi_at(xs[1:])
+            # one test for the usual chunk: every state strictly inside and
             # finite (NaN fails the max, -inf the min)
             if not (phi.max() < 0 and phi.min() > -np.inf):
-                keep = phi < 0
-                crossed = ~keep
-                bad = ~np.isfinite(phi)
+                stop = ~((phi < 0) & (phi > -np.inf))
+                keep = ~stop.any(axis=0)
+                r = np.flatnonzero(~keep)
+                jr = stop[:, r].argmax(axis=0)
+                bad = ~np.isfinite(phi[jr, r])
                 if bad.any():
-                    idx = live[bad]
-                    tau[idx] = k * dt
-                    points[idx] = xl[bad]
-                    resid[idx] = d.phi_at(xl[bad])
+                    idx, j_bad, x_pre = live[r[bad]], jr[bad], xs[jr[bad], r[bad]]
+                    tau[idx] = (k + j_bad) * dt
+                    points[idx] = x_pre
+                    resid[idx] = d.phi_at(x_pre)
                     status[idx] = STATUS_NONFINITE
-                    keep &= ~bad
-                    crossed &= ~bad
-                if crossed.any():
-                    idx = live[crossed]
-                    crossings.append(
-                        (idx, k, xl[crossed], _take(el, crossed), db[crossed]))
-                    for s in _subs_of(idx, n_sub):
-                        next_saved[(s, k + 1)] = rngs[s].bit_generator.state
-                live, x_new, e_new = live[keep], x_new[keep], _take(e_new, keep)
+                    r, jr = r[~bad], jr[~bad]
+                if r.size:
+                    idx = live[r]
+                    crossings.append((
+                        idx, k + jr, xs[jr, r],
+                        None if e is None else np.stack(es)[jr, r],
+                        db[jr, r]))
+                    for s, j in set(zip((idx // SUB_BLOCK).tolist(), jr.tolist())):
+                        next_saved[(s, k + j + 1)] = snaps[j][s]
+                live = live[keep]
+                xl, el = xs[-1][keep], _take(es[-1], keep)
                 subs = _subs_of(live, n_sub)
-            xl, el = x_new, e_new
-            k += 1
+            else:
+                xl, el = xs[-1], es[-1]
+            k += kc
 
         # paths that ran out the horizon in this pass
         points[live] = xl
@@ -474,7 +515,7 @@ def _exit_block(
 
         if crossings:
             idx = np.concatenate([c[0] for c in crossings])
-            steps = np.concatenate([np.full(c[0].size, c[1]) for c in crossings])
+            steps = np.concatenate([c[1] for c in crossings])
             if e is None:
                 # the refinement of a flat model's step starts from I
                 e_pre = np.broadcast_to(np.eye(n, dtype=complex), (idx.size, n, n))
@@ -526,11 +567,15 @@ def sample_exits(
     simulators, so results are reproducible for any worker count.  On a
     model with a chart bound the domain's bounding box must lie inside it,
     since exit paths are stepped until they leave the domain.  A crossing
-    step is halved at most MAX_REFINE_LEVELS times.  The refinement
-    counter holds the crossing step in 32 bits, so n_steps <= 2**32.
+    step is halved at most MAX_REFINE_LEVELS times, until the exit point
+    lies within delta_band (positive and finite) of the boundary.  The
+    refinement counter holds the crossing step in 32 bits, so
+    n_steps <= 2**32.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if not 0 < delta_band < np.inf:
+        raise ValueError(f"delta_band must be positive and finite, got {delta_band!r}")
     if cfg.n_steps > 2**32:
         raise ValueError("exit sampling needs n_steps <= 2**32")
     x0 = np.asarray(x0, dtype=float)
@@ -598,8 +643,10 @@ def solve_dirichlet(
     the threshold, since the estimate then rests on a biased subsample.
     Exits recorded outside the collar, which refinement accepts once it
     runs out of levels, are counted.  f only needs to be evaluable in the
-    collar around the boundary.
+    collar around the boundary.  horizon_threshold must lie in [0, 1].
     """
+    if not 0 <= horizon_threshold <= 1:
+        raise ValueError(f"horizon_threshold must lie in [0, 1], got {horizon_threshold!r}")
     batch = sample_exits(
         m, x0, d, cfg, n_paths, n_workers=n_workers, delta_band=delta_band
     )

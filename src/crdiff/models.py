@@ -502,8 +502,10 @@ def phase_rotated_heisenberg(n: int, kappa: float) -> ModelDescriptor:
     the Heisenberg action at p w (one phase per point, no L), and the
     connection form along dx is G = i kappa dx_t I, the value of
     conj(L) X(L)^T for |p| = 1 (no phase at all).  frame, christoffel and
-    frame_jacobian are gauge_rotated_model's.
+    frame_jacobian are gauge_rotated_model's.  kappa must be finite.
     """
+    if not np.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa!r}")
     base = heisenberg_model(n)
     dim = base.dim
     eye = np.eye(n)

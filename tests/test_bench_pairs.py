@@ -13,13 +13,17 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 METRICS = [{"name": "throughput_per_s", "better": "higher"},
-           {"name": "task_s_p50", "better": "lower"}]
+           {"name": "task_s_p50", "better": "lower"},
+           {"name": "peak_rss_mb", "better": "lower"}]
 
 
 def _fake_run_once(fail, timeouts=()):
     """A run_once whose throughput is 100 + seed (before) or 110 + seed
     (after), except the (side, seed) runs in ``fail``, which exit 3, and
-    those in ``timeouts``, which time out with bytes on stderr."""
+    those in ``timeouts``, which time out with bytes on stderr.  Unscaled,
+    the throughput is 90 + seed on both sides, except that the after side
+    wins pairs 1 and 3 by one; the calibration kernel took 0.01 s before
+    and 0.01 + seed / 1000 s after."""
     def run_once(checkout, workload, seed, seconds):
         side = os.path.basename(checkout)
         if (side, seed) in fail:
@@ -31,9 +35,14 @@ def _fake_run_once(fail, timeouts=()):
         base = 100.0 if side == "before" else 110.0
         # the after side loses pair 2 on throughput
         thr = base + seed - (20.0 if (side, seed) == ("after", 2) else 0.0)
+        raw = 90.0 + seed + (1.0 if side == "after" and seed in (1, 3) else 0.0)
         return {"correct": True, "attempted": 10, "failed": 0,
                 "metrics": {"throughput_per_s": {"value": thr},
-                            "task_s_p50": {"value": 1.0 / thr}},
+                            "task_s_p50": {"value": 1.0 / thr},
+                            "peak_rss_mb": {"value": 50.0}},
+                "unscaled": {"throughput_per_s": raw, "task_s_p50": 1.0 / raw,
+                             "setup_s": 0.2},
+                "kernel_s_median": 0.01 + (seed / 1000 if side == "after" else 0.0),
                 "provenance": {"source_sha256": side, "nproc": 2, "cpu_model": "x",
                                "numpy": "n", "blas": "b", "blas_threads": "1"}}
     return run_once
@@ -68,6 +77,38 @@ def test_failed_runs_are_recorded_and_left_out_of_pairs(tmp_path, monkeypatch):
     assert after["pairs_won"] == 6
     assert entry["after"]["task_s_p50"]["pairs_won"] == 6
     assert report["provenance"]["after"]["source_sha256"] == "after"
+    # unscaled metrics beside the scaled ones; memory has no unscaled value
+    raw_before = entry["before"]["unscaled"]["throughput_per_s"]
+    raw_after = entry["after"]["unscaled"]["throughput_per_s"]
+    assert raw_before["runs"] == [90.0 + s for s in seeds]
+    assert raw_after["runs"] == [90.0 + s + (s in (1, 3)) for s in seeds]
+    assert raw_before["median"] == 95.0 and raw_after["median"] == 95.0
+    assert raw_after["ratio_to_before"] == 1.0 and raw_after["pairs_won"] == 2
+    assert entry["after"]["unscaled"]["task_s_p50"]["pairs_won"] == 2
+    assert set(entry["after"]["unscaled"]) == {"throughput_per_s", "task_s_p50"}
+    assert entry["after"]["peak_rss_mb"]["pairs_won"] == 0
+    assert "pairs_won" not in entry["before"]["unscaled"]["throughput_per_s"]
+    assert entry["before"]["kernel_s_median"]["runs"] == [0.01] * len(seeds)
+    assert entry["after"]["kernel_s_median"]["median"] == pytest.approx(0.015)
+
+
+def test_run_once_keeps_unscaled_details(monkeypatch):
+    """run_once takes the unscaled metrics and the calibration kernel's
+    median from the provenance line it already reads for provenance."""
+    head = {"provenance": {"source_sha256": "s"},
+            "details": {"samples": 3, "kernel_s_median": 0.012,
+                        "unscaled": {"throughput_per_s": 7.0, "setup_s": 0.2}}}
+    result = {"correct": True, "attempted": 3, "failed": 0, "metrics": {}}
+    stdout = "\n".join(["noise", json.dumps(head), json.dumps(result)]) + "\n"
+
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = bench_pairs.run_once("/nowhere", "w", 1, 1.0)
+    assert out["provenance"] == {"source_sha256": "s"}
+    assert out["unscaled"] == {"throughput_per_s": 7.0, "setup_s": 0.2}
+    assert out["kernel_s_median"] == 0.012
 
 
 def test_workload_with_no_complete_pair_keeps_only_failures(tmp_path, monkeypatch):

@@ -79,6 +79,14 @@ def test_negative_steps_rejected_with_key_name(capsys):
     ("density --window=-inf:inf,-1:1,-1:1", "window"),
     ("density --window=1:-1,-1:1,-1:1", "window"),
     ("density --window=-1:nan,-1:1,-1:1", "window"),
+    ("dirichlet --delta-band nan", "delta_band"),
+    ("dirichlet --delta-band 0", "delta_band"),
+    ("dirichlet --delta-band inf", "delta_band"),
+    ("dirichlet --horizon-threshold -1", "horizon_threshold"),
+    ("dirichlet --horizon-threshold nan", "horizon_threshold"),
+    ("dirichlet --horizon-threshold 1.5", "horizon_threshold"),
+    ("dirichlet --model heisenberg_phase --kappa inf", "kappa"),
+    ("simulate --model heisenberg_phase --kappa nan", "kappa"),
 ])
 def test_malformed_value_is_config_error(argv, key, tmp_path, capsys, monkeypatch):
     """A malformed value exits 2 naming its key, before any path is run."""

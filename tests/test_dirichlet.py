@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import crdiff.dirichlet as dirichlet
+import crdiff.sde as sde
 from crdiff import (
     SimConfig,
     exit_sample,
@@ -61,13 +62,14 @@ def test_koranyi_phi_bits(n):
 
 
 def _spy_refinement(monkeypatch) -> list:
-    """Record (paths, kind, t_in_step) of every _refine_events call."""
+    """Record (paths, kind, t_in_step, steps, x_pre, e_pre, db) of every
+    _refine_events call."""
     calls = []
     refine = dirichlet._refine_events
 
-    def spy(m, d, x_pre, e_pre, db, dt, key, paths, *rest):
-        out = refine(m, d, x_pre, e_pre, db, dt, key, paths, *rest)
-        calls.append((paths, out[0], out[1]))
+    def spy(m, d, x_pre, e_pre, db, dt, key, paths, steps, *rest):
+        out = refine(m, d, x_pre, e_pre, db, dt, key, paths, steps, *rest)
+        calls.append((paths, out[0], out[1], steps, x_pre, e_pre, db))
         return out
 
     monkeypatch.setattr(dirichlet, "_refine_events", spy)
@@ -277,6 +279,27 @@ def test_horizon_overflow_flagged(heis1):
     )
     assert res.horizon_fraction > 0.01
     assert res.flagged
+
+
+@pytest.mark.parametrize("delta_band", [0.0, -1e-4, np.nan, np.inf])
+def test_bad_delta_band_raises(heis1, delta_band):
+    """A NaN collar would accept no exit before the level budget, and a
+    zero one every exit only at it; both are refused, as is a negative or
+    infinite one, and by every sampler that takes the collar."""
+    cfg = SimConfig(t_horizon=1.0, n_steps=100, seed=322)
+    with pytest.raises(ValueError, match="delta_band"):
+        sample_exits(heis1, np.zeros(3), BALL, cfg, 10, delta_band=delta_band)
+    with pytest.raises(ValueError, match="delta_band"):
+        mean_exit_time(heis1, BALL, np.zeros(3), 10, cfg, delta_band=delta_band)
+
+
+@pytest.mark.parametrize("threshold", [-0.01, 1.5, np.nan])
+def test_bad_horizon_threshold_raises(heis1, threshold):
+    """A threshold below 0 would flag every run and NaN none."""
+    cfg = SimConfig(t_horizon=1.0, n_steps=100, seed=322)
+    with pytest.raises(ValueError, match="horizon_threshold"):
+        solve_dirichlet(heis1, BALL, lambda x: x[..., 0], np.zeros(3), 10, cfg,
+                        horizon_threshold=threshold)
 
 
 def test_all_horizon_raises(heis1):
@@ -508,3 +531,121 @@ def test_markov_consistency_nested(heis1):
     est = values.mean()
     se = values.std(ddof=1) / np.sqrt(values.size)
     assert abs(est - 0.2) <= 3 * se + 0.01
+
+
+# --- chunked stepping ------------------------------------------------------------
+
+# model, reunitarize_every, domain variant, paths, workers
+CHUNK_CASES = [
+    ("heis1", 1, None, 513, 1),
+    ("heis2", 1, None, 1100, 2),
+    ("gauge1", 1, None, 1100, 1),
+    ("gauge1", 3, None, 513, 2),
+    ("heis1", 1, "nan", 1100, 2),
+    ("gauge1", 3, "nan", 513, 1),
+    ("heis1", 1, "-inf", 513, 2),
+    ("gauge1", 1, "-inf", 1100, 1),
+]
+
+
+@pytest.mark.parametrize("model, reunit, variant, p_count, workers", CHUNK_CASES)
+def test_chunk_length_does_not_change_exits(request, nan_beyond, ninf_beyond,
+                                            monkeypatch, model, reunit, variant,
+                                            p_count, workers):
+    """The exit loop tests for crossings once per chunk of steps; with
+    CHUNK = 1 (a test after every step), 3 and the default, the batches
+    are bit-equal.  Collar starts cross, exit and resume, and resumed
+    rows rejoin at steps off the chunk grid while other rows are live; in
+    the nan and -inf variants rows also turn non-finite inside chunks."""
+    m = request.getfixturevalue(model)
+    d = koranyi_ball(m.n, 1.0)
+    if variant == "nan":
+        m = nan_beyond(m, 0.9)
+    elif variant == "-inf":
+        d = ninf_beyond(d, 0.9)
+    rng = np.random.default_rng(p_count + reunit)
+    starts = np.zeros((p_count, m.dim))
+    starts[:, 0] = rng.uniform(0.6, 0.88, p_count)
+    starts[:, 1] = rng.uniform(-0.2, 0.2, p_count)
+    starts[:, -1] = rng.uniform(-0.3, 0.3, p_count)
+    cfg = SimConfig(t_horizon=1.2, n_steps=120, seed=320, reunitarize_every=reunit)
+
+    default = dirichlet.CHUNK
+    monkeypatch.setattr(dirichlet, "CHUNK", 1)
+    ref = sample_exits(m, starts, d, cfg, p_count)
+    calls = _spy_refinement(monkeypatch)
+    for chunk in (3, default):
+        monkeypatch.setattr(dirichlet, "CHUNK", chunk)
+        calls.clear()
+        batch = sample_exits(m, starts, d, cfg, p_count, n_workers=workers)
+        for f in ("tau", "points", "status", "phi_residual"):
+            assert getattr(batch, f).tobytes() == getattr(ref, f).tobytes(), (chunk, f)
+    paths, kind, _t, steps, x_pre, e_pre, db = calls[0]
+    rejoin = np.unique(steps[kind == REFINE_RESUME] + 1)
+    assert rejoin.size >= 2 and (rejoin % 3 != 0).any() and (rejoin % default != 0).any()
+    assert ref.exited.any()
+    assert (ref.status == STATUS_NONFINITE).any() == (variant is not None)
+
+    # the first pass against every path stepped to the horizon: a crossing
+    # is refined from the state before its first step that ends outside or
+    # non-finite, with that step's increment
+    inc = sde.driving_increments(cfg, p_count, m.n)
+    xs = [starts]
+    es = [None if m.flat_connection else np.broadcast_to(np.eye(m.n, dtype=complex),
+                                                         (p_count, m.n, m.n))]
+    for k in range(cfg.n_steps):
+        x_new, e_new, _ = sde._heun(m, xs[-1], es[-1], inc[:, k], (k + 1) % reunit == 0)
+        xs.append(x_new)
+        es.append(e_new)
+    xs = np.stack(xs)
+    phi = d.phi_at(xs[1:])
+    stop = ~((phi < 0) & (phi > -np.inf))
+    first = stop.argmax(axis=0)
+    np.testing.assert_array_equal(steps, first[paths])
+    assert x_pre.tobytes() == xs[steps, paths].tobytes()
+    assert db.tobytes() == inc[paths, steps].tobytes()
+    if not m.flat_connection:
+        assert e_pre.tobytes() == np.stack(es)[steps, paths].tobytes()
+
+
+@pytest.mark.parametrize("start, t_horizon", [((0.0, 0.0, 0.0), 1e-3), ((0.8, 0.0, 0.1), 2.0)])
+def test_crossing_test_runs_once_per_chunk(heis1, monkeypatch, start, t_horizon):
+    """Outside the refinement, phi is evaluated once for the starts, once
+    per chunk and once for the horizon rows of each pass.  Chunks restart
+    at one step after each join and double up to CHUNK, so a join costs at
+    most n_steps / CHUNK + log2(CHUNK) + 1 tests, where a test per step
+    would cost n_steps.  From the centre nothing crosses in the short
+    horizon (one pass, one join); from near the wall rows cross, resume
+    and rejoin."""
+    calls = {"phi": 0, "refine": 0}
+
+    def phi(x):
+        calls["phi"] += 1
+        return BALL.phi(x)
+
+    refine = dirichlet._refine_events
+    joins = [1]  # per pass; the first pass has one join, at step 0
+
+    def counted_refine(*args):
+        before = calls["phi"]
+        out = refine(*args)
+        calls["refine"] += calls["phi"] - before
+        steps = args[8]
+        rejoin = np.unique(steps[out[0] == REFINE_RESUME] + 1)
+        if (rejoin < n_steps).any():
+            joins.append(int((rejoin < n_steps).sum()))
+        return out
+
+    monkeypatch.setattr(dirichlet, "_refine_events", counted_refine)
+    n_steps = 400
+    cfg = SimConfig(t_horizon=t_horizon, n_steps=n_steps, seed=321)
+    d = dataclasses.replace(BALL, phi=phi)
+    batch = sample_exits(heis1, np.array(start), d, cfg, sde.SUB_BLOCK)
+    loop_calls = calls["phi"] - calls["refine"]
+    per_join = n_steps / dirichlet.CHUNK + np.log2(dirichlet.CHUNK) + 1
+    assert loop_calls <= 1 + len(joins) + sum(joins) * per_join
+    if start == (0.0, 0.0, 0.0):
+        assert (batch.status == STATUS_HORIZON).all() and len(joins) == 1
+        assert loop_calls < n_steps / 10
+    else:
+        assert batch.exited.any() and sum(joins) > 1

@@ -194,6 +194,14 @@ def test_phase_gauge_christoffel_matches_fd_oracle(heis1):
     assert np.abs(got).max() > 0.1
 
 
+@pytest.mark.parametrize("kappa", [np.inf, -np.inf, np.nan])
+def test_phase_gauge_needs_finite_kappa(kappa):
+    """A non-finite kappa would give a frame of NaN (and a RuntimeWarning
+    from the construction probe); it is refused before any evaluation."""
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        phase_rotated_heisenberg(1, kappa)
+
+
 def _matrix_gauge_h2(kappa=0.6):
     """The position-dependent non-diagonal rotation exp(i kappa t H) on a
     five-dimensional chart, as (lam, dlam)."""

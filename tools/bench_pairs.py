@@ -17,9 +17,13 @@ workload, and the next run goes on.  For every workload the output holds
 each side's per-run end-to-end metrics and their medians and quartiles,
 the after/before ratio of the medians, and how many pairs the after side
 won on each metric, all taken over the pairs where both sides succeeded;
-it also counts the pairs used and the runs that failed.  The file
-records the before commit, both sides' source hashes, the CPU count and
-model, the run length and the pair count.  The file is committed with the
+it also counts the pairs used and the runs that failed.  The end-to-end
+metrics are scaled by the harness's machine-speed calibration; the same
+summary of the unscaled wall-clock metrics sits beside them under
+``unscaled``, with each side's calibration kernel times
+(``kernel_s_median``), so a scaled result that the calibration moved
+shows.  The file records the before commit, both sides' source hashes,
+the CPU count and model, the run length and the pair count.  The file is committed with the
 change it measures, so it cannot name that commit: the after commit is
 null, and the after side's ``source_sha256`` identifies its source.
 """
@@ -48,6 +52,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     head = next(json.loads(line) for line in reversed(lines[:-1])
                 if line.startswith('{"provenance"'))
     result["provenance"] = head["provenance"]
+    result["unscaled"] = head["details"]["unscaled"]
+    result["kernel_s_median"] = head["details"]["kernel_s_median"]
     return result
 
 
@@ -67,15 +73,30 @@ def quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def _spread(vals: list) -> dict:
+    q1, med, q3 = quartiles(vals)
+    return {"median": med, "q1": q1, "q3": q3, "runs": vals}
+
+
 def summarize(runs: list, metrics: list) -> dict:
-    out = {}
-    for m in metrics:
-        vals = [r["metrics"][m["name"]]["value"] for r in runs]
-        q1, med, q3 = quartiles(vals)
-        out[m["name"]] = {"median": med, "q1": q1, "q3": q3, "runs": vals}
+    out = {m["name"]: _spread([r["metrics"][m["name"]]["value"] for r in runs])
+           for m in metrics}
+    # the harness reports no unscaled peak_rss_mb: memory is not scaled
+    out["unscaled"] = {m["name"]: _spread([r["unscaled"][m["name"]] for r in runs])
+                       for m in metrics if m["name"] in runs[0]["unscaled"]}
+    out["kernel_s_median"] = _spread([r["kernel_s_median"] for r in runs])
     out["failed_frac"] = statistics.median(
         r["failed"] / r["attempted"] if r["attempted"] else 1.0 for r in runs)
     return out
+
+
+def _compare(after: dict, before: dict, lower: bool) -> None:
+    """Add the after/before ratio of the medians and the pairs won to after."""
+    wins = sum((x < y) if lower else (x > y)
+               for x, y in zip(after["runs"], before["runs"]))
+    after["ratio_to_before"] = (after["median"] / before["median"]
+                                if before["median"] else None)
+    after["pairs_won"] = wins
 
 
 def main(argv=None) -> int:
@@ -124,13 +145,12 @@ def main(argv=None) -> int:
         if not runs["after"]:
             continue
         entry.update((side, summarize(runs[side], metrics)) for side in sides)
+        before, after = entry["before"], entry["after"]
         for m in metrics:
             key, lower = m["name"], m["better"] == "lower"
-            b, a = entry["before"][key], entry["after"][key]
-            wins = sum((x < y) if lower else (x > y)
-                       for x, y in zip(a["runs"], b["runs"]))
-            a["ratio_to_before"] = a["median"] / b["median"] if b["median"] else None
-            a["pairs_won"] = wins
+            _compare(after[key], before[key], lower)
+            if key in after["unscaled"]:
+                _compare(after["unscaled"][key], before["unscaled"][key], lower)
         report.setdefault("provenance", {
             side: {k: runs[side][0]["provenance"][k]
                    for k in ("source_sha256", "nproc", "cpu_model", "numpy",
