@@ -53,6 +53,9 @@ MAX_REFINE_LEVELS = 30
 # most steps the exit loop advances its live rows between two crossing
 # tests; the results do not depend on it
 CHUNK = 16
+# refinement levels whose normals one _event_zdraws call tabulates; the
+# results do not depend on it
+_Z_BAND = 8
 
 STATUS_EXITED = 0
 STATUS_HORIZON = 1
@@ -150,7 +153,7 @@ def _refine_events(
     m: ModelDescriptor,
     d: Domain,
     x_pre: np.ndarray,
-    e_pre: np.ndarray,
+    e_pre: np.ndarray | None,
     db: np.ndarray,
     dt: float,
     key: list,
@@ -170,27 +173,38 @@ def _refine_events(
     refined step turns out not to cross at all, a resume state at the end
     of the step.  A piece that ends non-finite settles the event as
     nonfinite at the piece's start, the last finite state.  Event c is
-    the crossing of path paths[c] at step steps[c]; each split draws its
-    normals from the Philox stream with round keys key (_refine_key), for
-    the splitting events only.
+    the crossing of path paths[c] at step steps[c].
+
+    The normals of a split depend only on the event and its level, not on
+    the branch taken, so they are read from a table of levels.  When an
+    event first needs a level past the table, the next _Z_BAND levels
+    (up to max_levels) are drawn for every unsettled event in one
+    _event_zdraws call, from the Philox stream with round keys key
+    (_refine_key); an event settled by then never reads them.  e_pre is
+    None on a flat model, whose frame stays I: no frame is carried and
+    e_out is None.
 
     Returns (kind, t_in_step, x_out, e_out, residual) arrays; t_in_step
     is the time of the recorded state within the step, dt for a resume.
     """
     c_count, n = x_pre.shape[0], m.n
-    cur_x, cur_e, cur_db = x_pre.copy(), e_pre.copy(), db.copy()
+    cur_x, cur_db = x_pre.copy(), db.copy()
+    cur_e = None if e_pre is None else e_pre.copy()
     h = np.full(c_count, dt)
     t_off = np.zeros(c_count)
     level = np.zeros(c_count, dtype=np.int64)
     depth = np.zeros(c_count, dtype=np.int64)
     stack_db = np.zeros((c_count, max_levels, n), dtype=complex)
     stack_h = np.zeros((c_count, max_levels))
+    # zt[c, l]: the normals of event c's split at level l, for the levels
+    # tabulated so far
+    zt = np.empty((c_count, 0, 2 * n))
 
     done = np.zeros(c_count, dtype=bool)
     kind = np.zeros(c_count, dtype=np.uint8)
     out_t = np.zeros(c_count)
     out_x = np.zeros_like(cur_x)
-    out_e = np.zeros_like(cur_e)
+    out_e = None if e_pre is None else np.zeros_like(e_pre)
     out_r = np.zeros(c_count)
 
     def settle(rows, what, x_end, e_end, phi_end):
@@ -199,13 +213,13 @@ def _refine_events(
         kind[rows] = what
         out_t[rows] = t_off[rows] + h[rows]
         out_x[rows] = x_end
-        out_e[rows] = e_end
+        _put(out_e, rows, e_end)
         out_r[rows] = phi_end
         done[rows] = True
 
     def lose(rows):
         # the piece from cur_x turned non-finite: keep its finite start
-        settle(rows, REFINE_NONFINITE, cur_x[rows], cur_e[rows],
+        settle(rows, REFINE_NONFINITE, cur_x[rows], _take(cur_e, rows),
                d.phi_at(cur_x[rows]))
         out_t[rows] = t_off[rows]
 
@@ -214,28 +228,30 @@ def _refine_events(
     # capped at max_levels and pops never exceed pushes: <= 2 max_levels + 1 rounds
     while not done.all():
         act = np.flatnonzero(~done)
-        x_end, e_end, _ = _heun(m, cur_x[act], cur_e[act], cur_db[act], reunitarize)
+        x_end, e_end, _ = _heun(m, cur_x[act], _take(cur_e, act), cur_db[act],
+                                reunitarize)
         phi_end = d.phi_at(x_end)
         bad = ~np.isfinite(phi_end)
         if bad.any():
             lose(act[bad])
         outside = (phi_end >= 0) & ~bad
         accept = outside & ((phi_end <= delta_band) | (level[act] >= max_levels))
-        settle(act[accept], REFINE_EXIT, x_end[accept], e_end[accept],
+        settle(act[accept], REFINE_EXIT, x_end[accept], _take(e_end, accept),
                phi_end[accept])
 
         inside = (phi_end < 0) & ~bad
         if inside.any():
             # piece traversed without crossing: advance to its end
             idx = act[inside]
+            e_in = _take(e_end, inside)
             cur_x[idx] = x_end[inside]
-            cur_e[idx] = e_end[inside]
+            _put(cur_e, idx, e_in)
             t_off[idx] += h[idx]
             # nothing pending: the step is traversed, resume at its end
             resume = depth[idx] == 0
             rs = idx[resume]
-            settle(rs, REFINE_RESUME, x_end[inside][resume],
-                   e_end[inside][resume], phi_end[inside][resume])
+            settle(rs, REFINE_RESUME, x_end[inside][resume], _take(e_in, resume),
+                   phi_end[inside][resume])
             out_t[rs] = dt
             pop = idx[~resume]
             depth[pop] -= 1
@@ -245,16 +261,26 @@ def _refine_events(
         rem = outside & ~accept
         if rem.any():
             idx = act[rem]
-            g = _event_zdraws(key, paths[idx], steps[idx], level[idx], n)
-            zeta = _scaled_increments(g, np.sqrt(h[idx] / 8.0))
+            top = zt.shape[1]
+            if level[idx].max() >= top:
+                # levels grow by one per split, so the next band covers it
+                width = min(_Z_BAND, max_levels - top)
+                live = np.flatnonzero(~done)
+                band = _event_zdraws(
+                    key, np.repeat(paths[live], width), np.repeat(steps[live], width),
+                    np.tile(np.arange(top, top + width), live.size), n)
+                zt = np.concatenate([zt, np.empty((c_count, width, 2 * n))], axis=1)
+                zt[live, top:] = band.reshape(live.size, width, 2 * n)
+            zeta = _scaled_increments(zt[idx, level[idx]], np.sqrt(h[idx] / 8.0))
             db1 = 0.5 * cur_db[idx] + zeta
-            x_mid, e_mid, _ = _heun(m, cur_x[idx], cur_e[idx], db1, reunitarize)
+            x_mid, e_mid, _ = _heun(m, cur_x[idx], _take(cur_e, idx), db1, reunitarize)
             phi_mid = d.phi_at(x_mid)
             lost = ~np.isfinite(phi_mid)
             if lost.any():
                 lose(idx[lost])
-                idx, db1, x_mid, e_mid, phi_mid = (
-                    a[~lost] for a in (idx, db1, x_mid, e_mid, phi_mid))
+                keep = ~lost
+                idx, db1, x_mid, phi_mid = (a[keep] for a in (idx, db1, x_mid, phi_mid))
+                e_mid = _take(e_mid, keep)
             first = phi_mid >= 0
             # crossing in the first half: push the second half, drill in
             f = idx[first]
@@ -265,7 +291,7 @@ def _refine_events(
             # first half traversed: continue with the second
             sec = idx[~first]
             cur_x[sec] = x_mid[~first]
-            cur_e[sec] = e_mid[~first]
+            _put(cur_e, sec, _take(e_mid, ~first))
             t_off[sec] += 0.5 * h[sec]
             cur_db[sec] = cur_db[sec] - db1[~first]
             h[idx] *= 0.5
@@ -323,7 +349,9 @@ def _event_zdraws(key, paths: np.ndarray, steps: np.ndarray,
     block at counter (level << 24 | j, step, path mod 2**32, path >> 32),
     turned into two normals by Box-Muller on its two 53-bit uniforms, so
     the counter is one-to-one for steps below 2**32, levels below 2**8
-    and n below 2**24.
+    and n below 2**24.  Every row is a function of its own (path, step,
+    level) alone, so _refine_events draws a band of levels of many
+    events in one call and gets the rows that one call per split gets.
     """
     lv = np.asarray(levels, dtype=np.uint64)[:, None]
     p = np.asarray(paths, dtype=np.uint64)[:, None]
@@ -343,6 +371,12 @@ def _event_zdraws(key, paths: np.ndarray, steps: np.ndarray,
 def _take(a: np.ndarray | None, rows):
     """a[rows], or None for the frame that a flat connection does not carry."""
     return None if a is None else a[rows]
+
+
+def _put(a: np.ndarray | None, rows, v) -> None:
+    """a[rows] = v, or nothing for the frame that a flat connection does not carry."""
+    if a is not None:
+        a[rows] = v
 
 
 def _subs_of(rows: np.ndarray, n_sub: int) -> list:
@@ -394,8 +428,8 @@ def _exit_block(
     turns NaN or infinite is retired as nonfinite at its last finite
     state.  Paths start from the identity frame, which a flat connection
     keeps: on a flat model the loop carries no frame (e, el are None),
-    the increments are the frame coefficients, and the refinement gets I
-    for the crossing rows.
+    the increments are the frame coefficients, and neither does the
+    refinement of the crossing rows.
     """
     n = m.n
     p_count = x0.shape[0]
@@ -516,11 +550,7 @@ def _exit_block(
         if crossings:
             idx = np.concatenate([c[0] for c in crossings])
             steps = np.concatenate([c[1] for c in crossings])
-            if e is None:
-                # the refinement of a flat model's step starts from I
-                e_pre = np.broadcast_to(np.eye(n, dtype=complex), (idx.size, n, n))
-            else:
-                e_pre = np.concatenate([c[3] for c in crossings])
+            e_pre = None if e is None else np.concatenate([c[3] for c in crossings])
             kind, t_in, x_out, e_out, r_out = _refine_events(
                 m, d,
                 np.concatenate([c[2] for c in crossings]), e_pre,
@@ -569,8 +599,8 @@ def sample_exits(
     since exit paths are stepped until they leave the domain.  A crossing
     step is halved at most MAX_REFINE_LEVELS times, until the exit point
     lies within delta_band (positive and finite) of the boundary.  The
-    refinement counter holds the crossing step in 32 bits, so
-    n_steps <= 2**32.
+    refinement counter holds the crossing step in 32 bits and the split
+    level in 8, so n_steps <= 2**32 and 0 <= MAX_REFINE_LEVELS <= 2**8.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -578,6 +608,9 @@ def sample_exits(
         raise ValueError(f"delta_band must be positive and finite, got {delta_band!r}")
     if cfg.n_steps > 2**32:
         raise ValueError("exit sampling needs n_steps <= 2**32")
+    max_levels = MAX_REFINE_LEVELS
+    if not 0 <= max_levels <= 2**8:
+        raise ValueError(f"MAX_REFINE_LEVELS must lie in [0, 2**8], got {max_levels!r}")
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
         starts = np.broadcast_to(x0, (n_paths, x0.size))
@@ -593,7 +626,7 @@ def sample_exits(
 
     def run(block: int, lo: int, hi: int):
         return _exit_block(
-            m, d, starts[lo:hi], cfg, block, lo, delta_band, MAX_REFINE_LEVELS
+            m, d, starts[lo:hi], cfg, block, lo, delta_band, max_levels
         )
 
     parts = _map_blocks(run, n_paths, n_workers)

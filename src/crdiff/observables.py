@@ -8,6 +8,7 @@ functions summarize scalar samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -200,24 +201,35 @@ def _grid_kde(samples: np.ndarray, axes: list[np.ndarray], bw: np.ndarray) -> np
 
     The kernel factors over axes, so the value at node (i_0, ..., i_L) is
     sum_m prod_d K_d[i_d, m] with K_d[i, m] = exp(-((axes[d][i] - x_md) / bw_d)^2 / 2).
-    The leading nodes are taken KDE_CHUNK at a time: the chunk's product
-    of leading factors is one matmul against the last axis's factor.
+    The leading nodes are taken in chunks of at most KDE_CHUNK, in C
+    order: the leading axes from k on, which hold at most KDE_CHUNK nodes,
+    whole, axis k - 1 in slabs, and every index of the axes before it in
+    turn.  A chunk's product of leading factors is built by broadcasting
+    outer products, left to right as a product over the axes in order, and
+    is one matmul against the last axis's factor.
     """
     m_count = samples.shape[0]
     norm = m_count * np.prod(bw * np.sqrt(2.0 * np.pi))
     factors = [np.exp(-0.5 * ((ax[:, None] - samples[:, d]) / bw[d]) ** 2)
                for d, ax in enumerate(axes)]
     *lead, last = factors
-    lead_shape = [f.shape[0] for f in lead]
-    n_lead = math.prod(lead_shape)
-    out = np.empty((n_lead, last.shape[0]))
-    for start in range(0, n_lead, KDE_CHUNK):
-        rows = np.arange(start, min(start + KDE_CHUNK, n_lead))
-        first, *rest = np.unravel_index(rows, lead_shape)
-        w = lead[0][first]
-        for f, i in zip(lead[1:], rest):
-            w *= f[i]
-        np.matmul(w, last.T, out=out[start:start + rows.size])
+    sizes = [f.shape[0] for f in lead]
+    k = next(k for k in range(1, len(lead) + 1) if math.prod(sizes[k:]) <= KDE_CHUNK)
+    width = KDE_CHUNK // math.prod(sizes[k:])
+    out = np.empty((math.prod(sizes), last.shape[0]))
+    start = 0
+    for outer in itertools.product(*map(range, sizes[:k - 1])):
+        prefix = None
+        for f, i in zip(lead, outer):
+            prefix = f[i] if prefix is None else prefix * f[i]
+        for lo in range(0, sizes[k - 1], width):
+            w = lead[k - 1][lo:lo + width]
+            if prefix is not None:
+                w = prefix * w
+            for f in lead[k:]:
+                w = (w[:, None, :] * f).reshape(-1, m_count)
+            np.matmul(w, last.T, out=out[start:start + w.shape[0]])
+            start += w.shape[0]
     return out.reshape([ax.size for ax in axes]) / norm
 
 

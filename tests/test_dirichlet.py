@@ -649,3 +649,125 @@ def test_crossing_test_runs_once_per_chunk(heis1, monkeypatch, start, t_horizon)
         assert loop_calls < n_steps / 10
     else:
         assert batch.exited.any() and sum(joins) > 1
+
+
+# --- refinement: normals by table, no frame on a flat model ---------------------
+
+
+def _capture_refinement(monkeypatch) -> list:
+    """Record (args, out) of every _refine_events call."""
+    calls = []
+    refine = dirichlet._refine_events
+
+    def spy(*args):
+        out = refine(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(dirichlet, "_refine_events", spy)
+    return calls
+
+
+def _wall_starts(p_count: int, seed: int) -> np.ndarray:
+    """n = 1 starts in the collar of BALL, whose crossings exit and resume."""
+    rng = np.random.default_rng(seed)
+    starts = np.zeros((p_count, 3))
+    starts[:, 0] = rng.uniform(0.6, 0.97, p_count)
+    starts[:, 2] = rng.uniform(-0.2, 0.2, p_count)
+    return starts
+
+
+def test_refinement_table_matches_per_split_draws(heis1, monkeypatch):
+    """The refinement draws its normals a band of levels at a time for all
+    unsettled events.  Every tabulated row has the bits of the one-split
+    _event_zdraws call of its (path, step, level), past a band edge and for
+    path indices on both sides of 2**32, and the refinement settles its
+    events as with a band of one level."""
+    calls = _capture_refinement(monkeypatch)
+    cfg = SimConfig(t_horizon=2.0, n_steps=200, seed=322)
+    sample_exits(heis1, _wall_starts(300, 3), BALL, cfg, 300)
+    m, d, x_pre, e_pre, db, dt, key, paths, steps, *_ = calls[0][0]
+    c = 40
+    paths = paths[:c] + (2**32 - c // 2)
+    args = (m, d, x_pre[:c], e_pre, db[:c], dt, key, paths, steps[:c], 1e-10, 30, True)
+
+    bands = []
+    zdraws = dirichlet._event_zdraws
+
+    def spy(key, paths, steps, levels, n):
+        out = zdraws(key, paths, steps, levels, n)
+        bands.append((paths, steps, levels, out))
+        return out
+
+    monkeypatch.setattr(dirichlet, "_event_zdraws", spy)
+    out = dirichlet._refine_events(*args)
+    band = dirichlet._Z_BAND
+    levels = np.concatenate([b[2] for b in bands])
+    drawn = np.concatenate([b[0] for b in bands])
+    assert levels.max() >= band and len(bands) == levels.max() // band + 1
+    assert (drawn >= 2**32).any() and (drawn < 2**32).any()
+    for p, s, lv, g in bands:
+        for i in range(p.size):
+            one = zdraws(key, p[i:i + 1], s[i:i + 1], lv[i:i + 1], 1)
+            assert one.tobytes() == g[i:i + 1].tobytes()
+
+    monkeypatch.setattr(dirichlet, "_Z_BAND", 1)
+    ref = dirichlet._refine_events(*args)
+    for a, b in zip(out, ref):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("variant, max_levels", [(None, 30), ("nan", 30), (None, 2)])
+def test_flat_refinement_carries_no_frame(heis1, nan_beyond, monkeypatch,
+                                         variant, max_levels):
+    """On a flat model the exit loop hands the refinement no frame, and it
+    settles every event as from identity frames: kind, time, point and
+    residual bit for bit, over resumes, non-finite substeps and a two-level
+    budget that accepts exits outside the collar."""
+    m, d = heis1, BALL
+    cfg = SimConfig(t_horizon=2.0, n_steps=200, seed=323)
+    starts = _wall_starts(300, 4)
+    if variant == "nan":
+        m, d = nan_beyond(heis1, 0.3), koranyi_ball(1, 0.35)
+        cfg = SimConfig(t_horizon=2.0, n_steps=100, seed=318)
+        starts = np.zeros(3)
+    monkeypatch.setattr(dirichlet, "MAX_REFINE_LEVELS", max_levels)
+    refine = dirichlet._refine_events
+    calls = _capture_refinement(monkeypatch)
+    sample_exits(m, starts, d, cfg, 300)
+    kinds = np.concatenate([out[0] for _args, out in calls])
+    if variant == "nan":
+        assert (kinds == dirichlet.REFINE_NONFINITE).any()
+    else:
+        assert (kinds == REFINE_RESUME).any()
+    budget_exits = 0
+    for args, out in calls:
+        m_, d_, x_pre, e_pre, *rest = args
+        assert e_pre is None and out[3] is None
+        eye = np.broadcast_to(np.eye(1, dtype=complex), (x_pre.shape[0], 1, 1))
+        ref = refine(m_, d_, x_pre, eye, *rest)
+        for i in (0, 1, 2, 4):
+            assert out[i].tobytes() == ref[i].tobytes(), i
+        budget_exits += np.count_nonzero((out[0] == REFINE_EXIT) & (out[4] > DELTA_BAND))
+    assert (budget_exits > 0) == (max_levels == 2)
+
+
+@pytest.mark.parametrize("levels", [-1, 2**8 + 1])
+def test_refine_level_budget_outside_counter_raises(heis1, monkeypatch, levels):
+    """The split level fills 8 bits of the refinement counter, so a larger
+    budget would give two levels the same normals."""
+    monkeypatch.setattr(dirichlet, "MAX_REFINE_LEVELS", levels)
+    with pytest.raises(ValueError, match="MAX_REFINE_LEVELS"):
+        sample_exits(heis1, np.zeros(3), BALL, CFG, 4)
+
+
+def test_refine_level_budget_at_counter_width(heis1, monkeypatch):
+    """A budget of 2**8 levels is accepted; no event here needs more than
+    the default budget, so the batch is the default's."""
+    cfg = SimConfig(t_horizon=2.0, n_steps=200, seed=324)
+    starts = _wall_starts(64, 5)
+    ref = sample_exits(heis1, starts, BALL, cfg, 64)
+    monkeypatch.setattr(dirichlet, "MAX_REFINE_LEVELS", 2**8)
+    batch = sample_exits(heis1, starts, BALL, cfg, 64)
+    for f in ("tau", "points", "status", "phi_residual"):
+        assert getattr(batch, f).tobytes() == getattr(ref, f).tobytes(), f

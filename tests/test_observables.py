@@ -27,7 +27,9 @@ from crdiff import (
     simulate_path,
     theta_form,
 )
-from crdiff.observables import LineIntegralObserver, OneForm, _integrand, density_at
+from crdiff.observables import (
+    KDE_CHUNK, LineIntegralObserver, OneForm, _grid_kde, _integrand, density_at,
+)
 
 ORIGIN1 = FrameState(np.zeros(3), np.eye(1))
 
@@ -350,9 +352,49 @@ def test_density_grid_axis_order_n2_chunked(heis2):
     np.testing.assert_allclose(est.values, direct.reshape(grid), rtol=1e-12)
 
 
+def _gathered_grid_kde(samples, axes, bw):
+    """The grid KDE with each chunk's leading product gathered node by
+    node from the factors, KDE_CHUNK flat nodes at a time."""
+    norm = samples.shape[0] * np.prod(bw * np.sqrt(2.0 * np.pi))
+    *lead, last = [np.exp(-0.5 * ((ax[:, None] - samples[:, d]) / bw[d]) ** 2)
+                   for d, ax in enumerate(axes)]
+    shape = [f.shape[0] for f in lead]
+    out = np.empty((int(np.prod(shape)), last.shape[0]))
+    for start in range(0, out.shape[0], KDE_CHUNK):
+        rows = np.arange(start, min(start + KDE_CHUNK, out.shape[0]))
+        first, *rest = np.unravel_index(rows, shape)
+        w = lead[0][first]
+        for f, i in zip(lead[1:], rest):
+            w *= f[i]
+        np.matmul(w, last.T, out=out[start:start + rows.size])
+    return out.reshape([ax.size for ax in axes]) / norm
+
+
+@pytest.mark.parametrize("grid, m_count", [
+    ((21, 21, 21), 2048), ((5, 7, 9), 300), ((9, 8, 7, 6, 5), 300),
+    ((50, 3, 40, 2, 4), 150), ((3, 2, 2, 700, 3), 120)])
+def test_grid_kde_matches_gathered_products(grid, m_count):
+    """The broadcast outer products take the leading factors in the order
+    of the node-by-node gather.  Where the leading nodes fit one chunk the
+    matmul is the same call, so the grid values keep their bits.  Where
+    chunks cut an axis into slabs or run over outer indices, they hold
+    other node counts than KDE_CHUNK, and BLAS may sum a small product in
+    another order: the values then agree to rounding."""
+    rng = np.random.default_rng(m_count)
+    samples = rng.standard_normal((m_count, len(grid)))
+    axes = [np.linspace(-2.0, 2.0, g) for g in grid]
+    bw = rng.uniform(0.2, 0.5, len(grid))
+    got = _grid_kde(samples, axes, bw)
+    want = _gathered_grid_kde(samples, axes, bw)
+    if np.prod(grid[:-1]) <= KDE_CHUNK:
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * want.max())
+
+
 def test_density_memory_bound(heis1):
     """2048 samples on a 21^3 grid: the separable evaluation peaks near
-    16 MB of Python allocations, against about 100 MB for pairwise distances."""
+    8.5 MB of Python allocations, against about 100 MB for pairwise distances."""
     cfg = SimConfig(t_horizon=1.0, n_steps=20, seed=204)
     ens = simulate_ensemble(heis1, ORIGIN1, cfg, 2048)
     window = np.array([[-3.0, 3.0], [-3.0, 3.0], [-3.0, 3.0]])
