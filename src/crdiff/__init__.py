@@ -52,7 +52,6 @@ from .observables import (
 )
 from .brackets import (
     BracketTable,
-    VectorField,
     apply_generator,
     lie_bracket,
     phi_functional,

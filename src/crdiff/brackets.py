@@ -10,6 +10,7 @@ elsewhere.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,8 +20,6 @@ from .models import ModelDescriptor, central_difference, fd_quotient, fd_stencil
 from .observables import OneForm
 
 __all__ = [
-    "VectorField",
-    "frame_vector_field",
     "lie_bracket",
     "BracketTable",
     "span_rank",
@@ -44,32 +43,6 @@ def index_label(a: int) -> str:
     return str(a) if a > 0 else f"{-a}*"
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """A complex vector field on the chart with optional analytic jacobian."""
-
-    comps: Callable[[np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = "W"
-
-    def at(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.comps(np.asarray(x, dtype=float)), dtype=complex)
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """d_j W^k as [..., k, j]; finite differences unless analytic."""
-        if self.jac is not None:
-            return np.asarray(self.jac(x), dtype=complex)
-        return central_difference(self.at, x)
-
-    def bracket(self, other: "VectorField") -> "VectorField":
-        def comps(x: np.ndarray) -> np.ndarray:
-            return _bracket_value(
-                self.at(x), self.jacobian(x), other.at(x), other.jacobian(x)
-            )
-
-        return VectorField(comps=comps, name=f"[{self.name},{other.name}]")
-
-
 def _bracket_value(w: np.ndarray, jw: np.ndarray, v: np.ndarray,
                    jv: np.ndarray) -> np.ndarray:
     """[W, V] = (dV) W - (dW) V from values and jacobians at the same points."""
@@ -82,23 +55,26 @@ def _column(frame_array: np.ndarray, a: int) -> np.ndarray:
     return col if a > 0 else np.conj(col)
 
 
-def frame_vector_field(m: ModelDescriptor, a: int) -> VectorField:
-    """The frame field with signed index a as a VectorField."""
-    jac = None
-    if a != 0 and m.frame_jacobian is not None:
+def _contract(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pairing (comps, field) or derivative (direction, gradient), per point."""
+    return np.einsum("...j,...j->...", u, v)
 
-        def jac(x: np.ndarray) -> np.ndarray:
-            return _column(m.frame_jacobian(x), a)
 
-    return VectorField(
-        comps=lambda x: m.frame_field(a, x), jac=jac, name=index_label(a)
-    )
+def _check_letters(m: ModelDescriptor, indices: Sequence[int]) -> None:
+    """Reject anything but the signed frame indices +-1..+-n."""
+    for a in indices:
+        if not 1 <= abs(a) <= m.n:
+            raise ValueError(f"frame index {a} is not one of +-1..+-{m.n}: indices "
+                             "range over the frame and its conjugates, not T")
 
 
 def lie_bracket(m: ModelDescriptor, a: int, b: int, x: np.ndarray) -> np.ndarray:
-    """[Z_a, Z_b] at x from coefficient jacobians (signed frame indices)."""
+    """[Z_a, Z_b] at x (..., D) for signed frame indices a, b in +-1..+-n."""
+    _check_letters(m, (a, b))
+    x = np.asarray(x, dtype=float)
     m.require_inside(x)
-    return frame_vector_field(m, a).bracket(frame_vector_field(m, b)).at(x)
+    head, head_jac = _frame_columns(m, [x], 1)
+    return _bracket_values(head, head_jac, [[(a, b)]], 1)[1][(a, b)][0]
 
 
 # ---------------------------------------------------------------------------
@@ -142,51 +118,60 @@ def _bracket_tags(n: int, max_order: int) -> list[list[tuple[int, ...]]]:
     return orders
 
 
-def _bracket_values(m: ModelDescriptor, x: np.ndarray,
-                    max_order: int) -> tuple[list, np.ndarray]:
-    """Tags and values (..., count, D) of every field and bracket at x.
-
-    Generations are evaluated in order, each once over the whole batch.
-    A bracket of order r + 1 needs the finite-difference jacobian of its
-    order-r tail, so order r is evaluated on x and on its nested stencils
-    up to depth max_order - r: P (2D)^(max_order - 2) points for order 2.
-    Each tail's jacobian is computed once and shared by every head letter.
-    The frame and its jacobian are evaluated once per stencil depth, the
-    jacobian by central differences when the model supplies none.
-    """
-    alphabet = _alphabet(m.n)
-    points = [np.asarray(x, dtype=float)]
-    for _depth in range(max_order - 2):
+def _nested_points(x: np.ndarray, depths: int) -> list[np.ndarray]:
+    """x and its nested central-difference stencils, depths arrays in all."""
+    points = [x]
+    for _depth in range(depths - 1):
         points.append(fd_stencil(points[-1]))
+    return points
+
+
+def _frame_columns(m: ModelDescriptor, points: list[np.ndarray],
+                   jac_depths: int) -> tuple[dict, dict]:
+    """head[a][d] = Z_a on points[d] and head_jac[a][d] its jacobian [..., k, j].
+
+    One frame call per depth and one jacobian call on each of the first
+    jac_depths depths, by central differences of the frame when the model
+    supplies no jacobian.
+    """
     frames = [np.asarray(m.frame(y), dtype=complex) for y in points]
     if m.frame_jacobian is not None:
-        frame_jacs = [np.asarray(m.frame_jacobian(y), dtype=complex) for y in points]
+        frame_jacs = [np.asarray(m.frame_jacobian(y), dtype=complex)
+                      for y in points[:jac_depths]]
     else:  # (..., k, a, j) -> (..., k, j, a), the layout of frame_jacobian
         frame_jacs = [np.swapaxes(central_difference(m.frame, y), -1, -2)
-                      for y in points]
+                      for y in points[:jac_depths]]
+    alphabet = _alphabet(m.n)
     head = {a: [_column(z, a) for z in frames] for a in alphabet}
     head_jac = {a: [_column(jz, a) for jz in frame_jacs] for a in alphabet}
+    return head, head_jac
 
-    orders = _bracket_tags(m.n, max_order)
-    # vals[tag][d], jacs[tag][d]: the current order on the depth-d points
-    vals = {(a,): head[a] for a in alphabet}
-    jacs = {(a,): head_jac[a] for a in alphabet}
-    vectors = [vals[tag][0] for tag in orders[0]]
-    for depths, tags in zip(range(len(points), 0, -1), orders[1:]):
-        vals = {
-            tag: [
-                _bracket_value(head[tag[0]][d], head_jac[tag[0]][d],
-                               vals[tag[1:]][d], jacs[tag[1:]][d])
-                for d in range(depths)
-            ]
-            for tag in tags
-        }
-        jacs = {
-            tag: [fd_quotient(v, v.ndim - 2) for v in vs[1:]]
-            for tag, vs in vals.items()
-        }
-        vectors += [vs[0] for vs in vals.values()]
-    return [tag for order in orders for tag in order], np.stack(vectors, axis=-2)
+
+def _bracket_values(head: dict, head_jac: dict, orders: list,
+                    depths: int) -> list[dict]:
+    """Each generation of nested brackets on every stencil depth it needs.
+
+    head and head_jac come from _frame_columns.  orders lists the tags of
+    generations 2, 3, ...: (a,) + tail is [Z_a, B_tail].  Generation 2 is
+    evaluated over the batch on depths 0..depths - 1 and each later one
+    on one depth fewer, since a tail's jacobian is the central difference
+    of its values one depth down, computed once for every head.  Depth d
+    holds P (2D)^d points, so memory grows by about a factor 2D with each
+    generation.  Returns a dict tag -> [values (..., D) per depth] per
+    generation, the frame fields (tags (a,)) first.
+    """
+    vals = {(a,): cols for a, cols in head.items()}
+    jacs = {(a,): cols for a, cols in head_jac.items()}
+    generations = [vals]
+    for count, tags in zip(range(depths, 0, -1), orders):
+        vals = {tag: [_bracket_value(head[tag[0]][d], head_jac[tag[0]][d],
+                                     vals[tag[1:]][d], jacs[tag[1:]][d])
+                      for d in range(count)]
+                for tag in tags}
+        jacs = {tag: [fd_quotient(v, v.ndim - 2) for v in vs[1:]]
+                for tag, vs in vals.items()}
+        generations.append(vals)
+    return generations
 
 
 def span_rank(m: ModelDescriptor, x: np.ndarray, max_order: int) -> BracketTable:
@@ -200,22 +185,27 @@ def span_rank(m: ModelDescriptor, x: np.ndarray, max_order: int) -> BracketTable
     integer array; for one point, (count, D), (k,) and an int.  The
     finite-difference jacobians behind orders >= 3 evaluate the order-2
     brackets on P (2D)^(max_order - 2) stencil points, so memory grows by
-    a factor 2D with each order above 2.
-
-    Rank counts singular values above RANK_EPS times the largest one.
+    a factor 2D with each order above 2.  Rank counts singular values
+    above RANK_EPS times the largest one.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     x = np.asarray(x, dtype=float)
-    tags, vectors = _bracket_values(m, x, max_order)
+    orders = _bracket_tags(m.n, max_order)
+    points = _nested_points(x, max(max_order - 1, 1))
+    head, head_jac = _frame_columns(m, points, max_order - 1)
+    generations = _bracket_values(head, head_jac, orders[1:], max_order - 1)
+    vectors = np.stack([generations[0][tag][0] for tag in orders[0]]
+                       + [vs[0] for vals in generations[1:] for vs in vals.values()],
+                       axis=-2)
     real_cols = np.swapaxes(
         np.concatenate([vectors.real, vectors.imag], axis=-2), -1, -2
     )
     sv = np.linalg.svd(real_cols, compute_uv=False)
     rank = np.count_nonzero(sv > RANK_EPS * sv[..., :1], axis=-1)
     return BracketTable(
-        x=x, tags=tags, vectors=vectors, singular_values=sv,
-        rank=int(rank) if x.ndim == 1 else rank,
+        x=x, tags=[tag for order in orders for tag in order], vectors=vectors,
+        singular_values=sv, rank=int(rank) if x.ndim == 1 else rank,
     )
 
 
@@ -223,55 +213,63 @@ def span_rank(m: ModelDescriptor, x: np.ndarray, max_order: int) -> BracketTable
 # recursive smoothness functionals for line integrals
 
 
-def _along(direction: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
-           x: np.ndarray) -> np.ndarray:
-    """Derivative of a broadcasting scalar f along complex directions at x."""
-    return np.einsum("...j,...j->...", direction, central_difference(f, x))
+def _one_point(m: ModelDescriptor, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (m.dim,):
+        raise ValueError(f"expected one point of shape ({m.dim},), got shape {x.shape}")
+    return x
 
 
-def _frame_comp(m: ModelDescriptor, form: OneForm, a: int, x: np.ndarray) -> np.ndarray:
-    return np.einsum("...k,...k->...", form.comps(x), m.frame_field(a, x))
+def _phi_generation(m: ModelDescriptor, form: OneForm, x: np.ndarray,
+                    tags: list) -> dict[tuple[int, ...], np.ndarray]:
+    """The recursive functionals of tags, all of one length r, at x (..., D).
 
-
-def _frame_comp_derivative(
-    m: ModelDescriptor, form: OneForm, a: int, x: np.ndarray, direction: np.ndarray
-) -> np.ndarray:
-    """Derivative of x -> Xi(Z_a)(x) along complex directions, per point.
-
-    Uses the product-rule with analytic jacobians when both the form and
-    the frame supply them, otherwise central differences.
+    phi(a) = Xi(Z_a) and phi((a,) + tail) = Z_a phi(tail) - B_tail Xi(Z_a),
+    B_tail the tail's nested bracket from _bracket_values, or Z_b for a
+    one-letter tail (b,).  The length-k tails of tags are evaluated
+    together on the depth r - k points only, each tail's gradient computed
+    once for every head.  A pairing Xi(Z_a) is differentiated by the
+    product rule when the form has a chart jacobian and the model a frame
+    jacobian, otherwise by central differences of the pairings one depth
+    down.  Every depth is checked against the chart bound; the deepest
+    holds P (2D)^(r - 1) points (one depth fewer by the product rule), so
+    memory grows by about a factor 2D with each order.
     """
-    if form.chart_jacobian is not None and (a == 0 or m.frame_jacobian is not None):
+    alphabet = _alphabet(m.n)
+    r = len(tags[0])
+    suffixes = [list(dict.fromkeys(tag[r - k:] for tag in tags)) for k in range(r + 1)]
+    analytic = form.chart_jacobian is not None and m.frame_jacobian is not None
+    points = _nested_points(x, r - 1 if analytic and r > 1 else r)
+    for y in points:
+        m.require_inside(y)
+    head, head_jac = _frame_columns(m, points, r - 1 if analytic else max(r - 2, 0))
+    if r == 1:
         comps = form.comps(x)
-        cjac = np.asarray(form.chart_jacobian(x), dtype=complex)  # [k, j]
-        fld = m.frame_field(a, x)
-        fjac = frame_vector_field(m, a).jacobian(x)               # [k, j]
-        grad = np.einsum("...kj,...k->...j", cjac, fld) + np.einsum("...k,...kj->...j", comps, fjac)
-        return np.einsum("...j,...j->...", direction, grad)
-    return _along(direction, lambda y: _frame_comp(m, form, a, y), x)
-
-
-def _nested_bracket(m: ModelDescriptor, indices: Sequence[int]) -> VectorField:
-    """[Z_{i0}, [Z_{i1}, [... Z_{ik}]]] for a sequence of signed indices."""
-    fld = frame_vector_field(m, indices[-1])
-    for a in reversed(indices[:-1]):
-        fld = frame_vector_field(m, a).bracket(fld)
-    return fld
-
-
-def _phi(m: ModelDescriptor, form: OneForm, indices: tuple[int, ...],
-         x: np.ndarray) -> np.ndarray:
-    """phi_functional at points x (..., D), broadcast over leading axes."""
-    m.require_inside(x)
-    head, tail = indices[0], indices[1:]
-    if not tail:
-        return _frame_comp(m, form, head, x)
-    if len(tail) == 1:
-        term1 = _frame_comp_derivative(m, form, tail[0], x, m.frame_field(head, x))
-    else:
-        term1 = _along(m.frame_field(head, x), lambda y: _phi(m, form, tail, y), x)
-    bracket_dir = _nested_bracket(m, tail).at(x)
-    return term1 - _frame_comp_derivative(m, form, head, x, bracket_dir)
+        return {tag: _contract(comps, head[tag[0]][0]) for tag in suffixes[1]}
+    grads = {a: [] for a in alphabet}  # of the pairing Xi(Z_a), per depth
+    for d in range(r - 1):
+        if analytic:
+            comps = form.comps(points[d])
+            cjac = np.asarray(form.chart_jacobian(points[d]), dtype=complex)  # [k, j]
+            for a in alphabet:
+                grads[a].append(np.einsum("...kj,...k->...j", cjac, head[a][d])
+                                + np.einsum("...k,...kj->...j", comps, head_jac[a][d]))
+        else:
+            comps = form.comps(points[d + 1])
+            for a in alphabet:
+                pairing = _contract(comps, head[a][d + 1])
+                grads[a].append(fd_quotient(pairing, points[d].ndim - 1))
+    brackets = _bracket_values(head, head_jac, suffixes[2:r], r - 2)
+    for k in range(2, r + 1):
+        d = r - k
+        if k == 2:
+            tail_grads = {(b,): grads[b][d] for b in alphabet}
+        else:
+            tail_grads = {t: fd_quotient(v, points[d].ndim - 1) for t, v in phi.items()}
+        phi = {tag: _contract(head[tag[0]][d], tail_grads[tag[1:]])
+               - _contract(brackets[k - 2][tag[1:]][d], grads[tag[0]][d])
+               for tag in suffixes[k]}
+    return phi
 
 
 def phi_functional(
@@ -283,19 +281,17 @@ def phi_functional(
     tail functional along the head field and subtracts the nested bracket
     of the tail applied to the head pairing.  For two indices the bracket
     degenerates to the single tail field (literal reading of the
-    recursion; see the decisions ledger).
-
-    The tail functional is differentiated by one central-difference call
-    on the stacked stencil, so k indices evaluate the recursion at
-    (2D)^(k - 2) points at the deepest level; every level checks that its
-    points, the stencil probes included, lie inside the chart.
+    recursion; see the decisions ledger).  x is one point (D,).  The
+    value comes from the generation evaluator (_phi_generation), so
+    memory grows by about a factor 2D with each index, and every stencil
+    depth is checked against the chart bound.
     """
     indices = tuple(int(a) for a in indices)
     if len(indices) == 0:
         raise ValueError("need at least one frame index")
-    if any(a == 0 for a in indices):
-        raise ValueError("indices range over the frame and its conjugates, not T")
-    return complex(_phi(m, form, indices, np.asarray(x, dtype=float)))
+    _check_letters(m, indices)
+    x = _one_point(m, x)
+    return complex(_phi_generation(m, form, x, [indices])[indices])
 
 
 def smoothness_condition(
@@ -306,18 +302,19 @@ def smoothness_condition(
     Multi-indices are scanned by increasing length and lexicographically
     within a length, over the alphabet [1..n, 1*..n*], so witnesses are
     reproducible; the first with modulus above PHI_THRESHOLD is the
-    witness.  Returns (satisfied, witness, value).
+    witness.  Returns (satisfied, witness, value).  x is one point (D,).
+    All indices of one length are evaluated as one generation
+    (_phi_generation) once the scan reaches that length; memory grows by about a factor 2D with each order.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    alphabet = _alphabet(m.n)
-    stack = [(a,) for a in alphabet]
-    for _order in range(1, max_order + 1):
-        for idx in stack:
-            val = phi_functional(m, form, idx, x)
+    x = _one_point(m, x)
+    for r in range(1, max_order + 1):
+        tags = list(itertools.product(_alphabet(m.n), repeat=r))
+        for idx, phi in _phi_generation(m, form, x, tags).items():
+            val = complex(phi)
             if abs(val) > PHI_THRESHOLD:
                 return True, idx, val
-        stack = [idx + (a,) for idx in stack for a in alphabet]
     return False, None, 0.0j
 
 
@@ -341,7 +338,7 @@ def apply_generator(m: ModelDescriptor, f: Callable[[np.ndarray], np.ndarray],
 
     def deriv(a: int, g: Callable[[np.ndarray], np.ndarray]):
         """Z_a g as a broadcasting function."""
-        return lambda y: _along(m.frame_field(a, y), g, y)
+        return lambda y: _contract(m.frame_field(a, y), central_difference(g, y))
 
     total = 0.0 + 0.0j
     for a in range(1, n + 1):

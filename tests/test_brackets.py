@@ -1,6 +1,7 @@
 """Lie brackets, span ranks, recursive smoothness functionals, generator oracle."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from crdiff import (
     span_rank,
     theta_form,
 )
-from crdiff.brackets import VectorField, _nested_bracket, frame_vector_field, index_label
+from crdiff.brackets import _phi_generation, index_label
 from crdiff.models import ChartBoundsError, ModelDescriptor
 from crdiff.observables import OneForm
+
+from bracket_reference import VectorField, frame_vector_field, nested_bracket, phi_reference
 
 RNG = np.random.default_rng(20260802)
 
@@ -50,6 +53,13 @@ def test_bracket_conjugation(heis2):
     fwd = lie_bracket(heis2, 1, 2, x)
     conj = lie_bracket(heis2, -1, -2, x)
     np.testing.assert_allclose(conj, np.conj(fwd), atol=1e-9)
+
+
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (2, 1), (1, -2)])
+def test_lie_bracket_takes_signed_frame_indices(heis1, a, b):
+    """Only +-1..+-n: the characteristic field T (index 0) is no letter."""
+    with pytest.raises(ValueError, match="frame index"):
+        lie_bracket(heis1, a, b, np.zeros(3))
 
 
 def test_finite_difference_matches_analytic_jacobian(gauge1):
@@ -178,7 +188,7 @@ def test_batched_span_rank_matches_per_point(name, order, data):
         assert single.singular_values.tobytes() == batch.singular_values[p].tobytes()
         assert single.vectors.tobytes() == batch.vectors[p].tobytes()
         for tag, vec in zip(batch.tags, batch.vectors[p]):
-            assert _nested_bracket(m, tag).at(x).tobytes() == vec.tobytes()
+            assert nested_bracket(m, tag).at(x).tobytes() == vec.tobytes()
 
 
 def test_rank_requires_positive_order(heis1):
@@ -222,6 +232,71 @@ def test_phi_vertical_form_order_two(heis1):
 def test_phi_rejects_transverse_index(heis1):
     with pytest.raises(ValueError):
         phi_functional(heis1, form_du(1), (0, 1), np.zeros(3))
+
+
+@pytest.mark.parametrize("x", [np.zeros((2, 3)), np.zeros(4)], ids=["batch", "length4"])
+def test_functionals_take_one_point(heis1, x):
+    """A batch or a point of the wrong length is refused up front."""
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        phi_functional(heis1, form_du(1), (1, -1), x)
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        smoothness_condition(heis1, form_du(1), x, 2)
+
+
+ALPHABETS = {1: [1, -1], 2: [1, 2, -1, -2]}
+
+
+def _forms(m):
+    du = form_du(m.n, 1)
+    return {
+        "du1": du,                                    # chart jacobian
+        "du1_fd": OneForm("du1_fd", du.chart_comps),  # none: central differences
+        "theta": theta_form(m),
+        "dt": form_dt(m.n),
+    }
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+@settings(max_examples=6)
+@given(data=st.data())
+def test_phi_generation_matches_reference(name, length, data):
+    """Every functional of a generation equals the closure recursion bitwise,
+    at one point and over a batch, with and without the product rule."""
+    m = BATCH_MODELS[name]
+    form = _forms(m)[data.draw(st.sampled_from(["du1", "du1_fd", "theta", "dt"]),
+                               label="form")]
+    shape = data.draw(st.sampled_from([(m.dim,), (1, m.dim), (3, m.dim)]), label="shape")
+    x = data.draw(arrays(np.float64, shape, elements=st.floats(-1.5, 1.5)), label="x")
+    tags = list(itertools.product(ALPHABETS[m.n], repeat=length))
+    generation = _phi_generation(m, form, x, tags)
+    assert list(generation) == tags
+    for tag, value in generation.items():
+        assert value.tobytes() == phi_reference(m, form, tag, x).tobytes(), tag
+    # one tag alone evaluates only its own tails, to the same bits
+    tag = data.draw(st.sampled_from(tags), label="tag")
+    assert _phi_generation(m, form, x, [tag])[tag].tobytes() == generation[tag].tobytes()
+
+
+def test_smoothness_scan_shares_field_evaluations():
+    """One frame (and jacobian) call per stencil depth and order: the
+    unsatisfied order-4 scan makes 1 + 2 + 3 + 4 frame calls; a recursion
+    per multi-index would make thousands."""
+    base = phase_rotated_heisenberg(2, 0.9)
+    calls = {"frame": 0, "frame_jacobian": 0}
+
+    def counted(name):
+        def f(x):
+            calls[name] += 1
+            return getattr(base, name)(x)
+        return f
+
+    m = dataclasses.replace(base, frame=counted("frame"),
+                            frame_jacobian=counted("frame_jacobian"))
+    calls.update(frame=0, frame_jacobian=0)  # not the construction probes
+    ok, witness, _ = smoothness_condition(m, theta_form(m), np.zeros(5), 4)
+    assert not ok and witness is None
+    assert calls["frame"] <= 10 and calls["frame_jacobian"] <= 10, calls
 
 
 GAUGE2 = BATCH_MODELS["gauge2"]
