@@ -185,14 +185,17 @@ def span_rank(m: ModelDescriptor, x: np.ndarray, max_order: int) -> BracketTable
     integer array; for one point, (count, D), (k,) and an int.  The
     finite-difference jacobians behind orders >= 3 evaluate the order-2
     brackets on P (2D)^(max_order - 2) stencil points, so memory grows by
-    a factor 2D with each order above 2.  Rank counts singular values
-    above RANK_EPS times the largest one.
+    a factor 2D with each order above 2; every depth is checked against
+    the chart bound.  Rank counts singular values above RANK_EPS times
+    the largest one.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     x = np.asarray(x, dtype=float)
     orders = _bracket_tags(m.n, max_order)
     points = _nested_points(x, max(max_order - 1, 1))
+    for y in points:
+        m.require_inside(y)
     head, head_jac = _frame_columns(m, points, max_order - 1)
     generations = _bracket_values(head, head_jac, orders[1:], max_order - 1)
     vectors = np.stack([generations[0][tag][0] for tag in orders[0]]

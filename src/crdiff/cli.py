@@ -35,7 +35,9 @@ from .observables import (
     line_integral_ensemble,
     theta_form,
 )
-from .sde import STATUS_NAMES, STATUS_NONFINITE, SimConfig, simulate_ensemble
+from .sde import (
+    STATUS_CAPPED, STATUS_NAMES, STATUS_NONFINITE, SimConfig, simulate_ensemble,
+)
 
 COMMANDS = (
     "simulate",
@@ -216,9 +218,11 @@ def _validate(command: str, params: dict) -> None:
     for key, lo in pos.items():
         if key in params and params[key] < lo:
             raise ConfigError(f"key '{key}' must be >= {lo}")
-    for key in ("t_horizon", "cap"):
-        if key in params and not params[key] > 0:
-            raise ConfigError(f"key '{key}' must be positive")
+    if "t_horizon" in params and not 0 < params["t_horizon"] < np.inf:
+        raise ConfigError("key 't_horizon' must be positive and finite")
+    # an infinite cap is allowed: it means no cap
+    if "cap" in params and not params["cap"] > 0:
+        raise ConfigError("key 'cap' must be positive")
     if "delta_band" in params and not 0 < params["delta_band"] < np.inf:
         raise ConfigError("key 'delta_band' must be positive and finite")
     if "horizon_threshold" in params and not 0 <= params["horizon_threshold"] <= 1:
@@ -439,12 +443,21 @@ def _cmd_line_integral(cfg: RunConfig) -> int:
     s0 = FrameState(_point(p, "start", m.dim), np.eye(m.n))
     form = _form(p, m.n) or theta_form(m)
     ens = line_integral_ensemble(m, s0, sim, p["paths"], form, n_workers=p["workers"])
-    vals = ens.observables["line_integral"]
+    # a stopped path's integral covers only part of the run: it has none
+    done = ens.completed
+    vals = np.where(done, ens.observables["line_integral"], np.nan)
     out = _output_path(p, cfg.command)
     _write_csv(out, cfg, ["path_id", "value"], [np.arange(ens.n_paths), vals],
                extra_comments=[f"form {form.name}"])
+    capped = np.count_nonzero(ens.status == STATUS_CAPPED)
+    nonfinite = np.count_nonzero(ens.status == STATUS_NONFINITE)
+    if not done.any():
+        print(f"line-integral: no path completed (capped {capped}, "
+              f"nonfinite {nonfinite})", file=sys.stderr)
+        return 1
     print(f"line-integral[{form.name}]: {ens.n_paths} paths, "
-          f"mean {vals.mean():.6g}, seed={p['seed']} -> {out}")
+          f"mean {vals[done].mean():.6g}, capped {capped}, nonfinite {nonfinite}, "
+          f"seed={p['seed']} -> {out}")
     return 0
 
 

@@ -47,15 +47,30 @@ class OneForm:
     chart_comps(x) returns the covector components (..., D); the optional
     chart_jacobian(x) returns their coordinate derivatives (..., D, D)
     with [k, j] = d_j comp_k, enabling analytic directional derivatives.
-    Forms add and scale pointwise.
+    The optional pairing(x, v) returns the form applied to the tangent
+    vectors v (..., D) at x, shape (...); it must equal the contraction
+    of chart_comps(x) with v, and without it pair contracts them.  Forms
+    add and scale pointwise, by contraction.
     """
 
     name: str
     chart_comps: Callable[[np.ndarray], np.ndarray]
     chart_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
+    pairing: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def comps(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.chart_comps(np.asarray(x, dtype=float)), dtype=complex)
+
+    def pair(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The form at x (..., D) applied to tangent vectors v (..., D).
+
+        Calls the form's pairing when it has one; otherwise contracts the
+        raw chart components with v, so a real form on real vectors stays
+        real.  The result may be a view of v.
+        """
+        if self.pairing is not None:
+            return self.pairing(x, v)
+        return np.einsum("...k,...k->...", self.chart_comps(x), v)
 
     def frame_comps(self, m: ModelDescriptor, x: np.ndarray) -> np.ndarray:
         """Pairings with the frame, ordered [Z_1..Z_n, conj(Z_1)..conj(Z_n)]."""
@@ -106,7 +121,11 @@ def coordinate_form(dim: int, k: int, name: str | None = None) -> OneForm:
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (dim, dim))
 
-    return OneForm(name or f"dx{k}", chart_comps, chart_jacobian)
+    def pairing(_x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # dx^k(v) is the column v^k: the contraction's other terms are 0 * v^j
+        return v[..., k]
+
+    return OneForm(name or f"dx{k}", chart_comps, chart_jacobian, pairing)
 
 
 def form_du(n: int, a: int = 1) -> OneForm:
@@ -336,12 +355,13 @@ def _integrand(m: ModelDescriptor, form: OneForm, x, e, db, dx=None) -> np.ndarr
     components c, which is c(dx) for the base velocity dx = 2 Re(Z w):
     one contraction with the model's frame action, for any complex form.
     dx, when given, is that base velocity (the Heun kernel's pre-step
-    velocity).  The raw components pair with the real dx, so the integrand
-    is real for a real form and complex only for a complex one.
+    velocity).  The form pairs with the real dx (OneForm.pair: a coordinate
+    form reads one column), so the integrand is real for a real form and
+    complex only for a complex one.
     """
     if dx is None:
         dx = m.base_velocity(x, frame_coords(e, db))
-    return np.einsum("...k,...k->...", form.chart_comps(x), dx)
+    return form.pair(x, dx)
 
 
 def line_integral(m: ModelDescriptor, path: Path, form: OneForm) -> float:

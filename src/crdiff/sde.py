@@ -84,8 +84,8 @@ class SimConfig:
     coordinate_cap: float = 1e6
 
     def __post_init__(self) -> None:
-        if not self.t_horizon > 0:
-            raise ValueError("t_horizon must be positive")
+        if not 0 < self.t_horizon < np.inf:
+            raise ValueError("t_horizon must be positive and finite")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
         if not -(2**63) <= int(self.seed) < 2**64:
@@ -329,12 +329,18 @@ def _run_block(
     leave the coordinate cap or the chart bound, or whose state turns
     non-finite, are frozen at their last valid state and flagged.  The
     start frames must be finite (the callers check them unitary): a frame
-    the flat kernel carries unchanged is not tested again.  observer is
-    called as in simulate_ensemble.
+    the flat kernel carries unchanged is not tested again.  On a flat
+    connection from identity start frames no step contracts a frame: the
+    kernel is driven by w = db, the contraction with I up to the sign of
+    a zero.
+    observer is called as in simulate_ensemble.
     """
     n_steps, dt = cfg.n_steps, cfg.dt
     p_count = x0.shape[0]
     x, e = x0.astype(float), e0.astype(complex)
+    # every frame stays I: the steps use w = db, and e keeps the start
+    # frames for the observers and records
+    frameless = m.flat_connection and bool((e == np.eye(e.shape[-1])).all())
     status = np.zeros(p_count, dtype=np.uint8)
     steps_taken = np.zeros(p_count, dtype=np.int64)
     active = np.ones(p_count, dtype=bool)
@@ -361,8 +367,11 @@ def _run_block(
         if collect_increments:
             inc_list.append(db.copy())
         x_new, e_new, dx0 = _heun(
-            m, x, e, db, bool(reunit) and (k + 1) % reunit == 0
+            m, x, None if frameless else e, db,
+            bool(reunit) and (k + 1) % reunit == 0,
         )
+        if frameless:
+            e_new = e
         # a whole-batch test first, which NaN fails too; rows only when it
         # fails.  A frame returned as it came (flat connection) is the
         # start frame, which was checked unitary, so it is finite.

@@ -344,6 +344,21 @@ def test_phi_checks_chart_on_every_stencil_level():
         phi_functional(m, form_du(1), (1, -1, 1), x)
 
 
+def test_span_rank_checks_chart_on_every_stencil_level():
+    """The probe points and every stencil depth behind the order >= 3
+    brackets must lie in the chart, as for lie_bracket."""
+    m = dataclasses.replace(heisenberg_model(1), chart_bound=np.array([[-1.0, 1.0]] * 3))
+    for order in (1, 2, 3):
+        with pytest.raises(ChartBoundsError):
+            span_rank(m, np.array([5.0, 0.0, 0.0]), order)
+    with pytest.raises(ChartBoundsError):
+        span_rank(m, np.array([[0.2, 0.0, 0.0], [5.0, 0.0, 0.0]]), 2)
+    edge = np.array([1.0 - 5e-6, 0.2, -0.3])
+    assert span_rank(m, edge, 2).rank == 3
+    with pytest.raises(ChartBoundsError):
+        span_rank(m, edge, 3)
+
+
 def test_smoothness_witness_first_order(heis1):
     ok, witness, value = smoothness_condition(heis1, form_du(1), np.zeros(3), 1)
     assert ok and witness == (1,)

@@ -87,6 +87,9 @@ def test_negative_steps_rejected_with_key_name(capsys):
     ("dirichlet --horizon-threshold 1.5", "horizon_threshold"),
     ("dirichlet --model heisenberg_phase --kappa inf", "kappa"),
     ("simulate --model heisenberg_phase --kappa nan", "kappa"),
+    ("line-integral --paths 10 --steps 5 --t-horizon inf", "t_horizon"),
+    ("dirichlet --t-horizon inf", "t_horizon"),
+    ("simulate --t-horizon nan", "t_horizon"),
 ])
 def test_malformed_value_is_config_error(argv, key, tmp_path, capsys, monkeypatch):
     """A malformed value exits 2 naming its key, before any path is run."""
@@ -289,6 +292,28 @@ def test_line_integral_command(tmp_path):
     rows = [l for l in _read(out).decode().splitlines() if not l.startswith("#")]
     vals = np.array([float(r.split(",")[1]) for r in rows[1:]])
     assert np.abs(vals).max() <= 1e-12
+
+
+def test_line_integral_stopped_paths_have_no_value(tmp_path, capsys):
+    """A capped path's partial integral is not a value: it is written nan
+    and left out of the mean, and a run where no path completed fails."""
+    out = tmp_path / "li.csv"
+    args = f"line-integral --paths 20 --steps 50 --cap 0.8 --form du1 --seed 0 --output {out}"
+    assert main(args.split()) == 0
+    rows = [l for l in _read(out).decode().splitlines() if not l.startswith("#")]
+    vals = np.array([float(r.split(",")[1]) for r in rows[1:]])
+    capped = int(np.isnan(vals).sum())
+    assert 0 < capped < 20
+    summary = capsys.readouterr().out
+    assert f"mean {np.mean(vals[~np.isnan(vals)]):.6g}, capped {capped}, nonfinite 0" in summary
+
+    assert main(args.replace("--cap 0.8", "--cap 0.3").split()) == 1
+    rows = [l for l in _read(out).decode().splitlines() if not l.startswith("#")]
+    assert [r.split(",")[1] for r in rows[1:]] == ["nan"] * 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "line-integral: no path completed (capped 20, nonfinite 0)"]
 
 
 def test_charfn_command(tmp_path):

@@ -27,8 +27,10 @@ from crdiff import (
     simulate_path,
     theta_form,
 )
+from crdiff import frame_bundle, observables, sde
 from crdiff.observables import (
-    KDE_CHUNK, LineIntegralObserver, OneForm, _grid_kde, _integrand, density_at,
+    KDE_CHUNK, LineIntegralObserver, OneForm, _grid_kde, _integrand, coordinate_form,
+    density_at,
 )
 
 ORIGIN1 = FrameState(np.zeros(3), np.eye(1))
@@ -71,6 +73,28 @@ def test_form_algebra(heis1):
     combo = 2.0 * form_du(1) + (-1.5) * form_dt(1)
     want = 2.0 * form_du(1).comps(x) - 1.5 * form_dt(1).comps(x)
     np.testing.assert_allclose(combo.comps(x), want, atol=1e-15)
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_coordinate_form_pairs_by_column(data):
+    """dx^k pairs with v by reading column k, with the bits of the
+    contraction of its components; sums and scalings of forms contract."""
+    dim = data.draw(st.sampled_from([3, 5]), label="dim")
+    p = data.draw(st.integers(1, 4), label="points")
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    x = data.draw(arrays(float, (p, dim), elements=finite), label="x")
+    v = data.draw(arrays(float, (p, dim), elements=finite), label="v")
+    for k in range(dim):
+        form = coordinate_form(dim, k)
+        assert form.pairing is not None
+        want = np.einsum("...k,...k->...", form.chart_comps(x), v)
+        assert (form.pair(x, v) == want).all()
+    du, dt = coordinate_form(dim, 0), coordinate_form(dim, dim - 1)
+    for combo in (du + dt, 2.5 * du):
+        assert combo.pairing is None
+        want = np.einsum("...k,...k->...", combo.chart_comps(x), v)
+        assert combo.pair(x, v).tobytes() == want.tobytes()
 
 
 # --- line integrals -----------------------------------------------------------
@@ -183,6 +207,33 @@ def test_flat_observer_evaluates_no_velocity(heis2):
     want = line_integral_ensemble(heis2, s0, cfg, 7, form_dt(2))
     assert got.observables["line_integral"].tobytes() == (
         want.observables["line_integral"].tobytes())
+
+
+def test_flat_coordinate_line_integral_contracts_nothing(heis2, monkeypatch):
+    """A flat du1 line integral from identity frames steps on w = dB and
+    pairs du1 by column: no frame contraction and no einsum at all.  From
+    a rotated frame each block contracts its frame once per step."""
+    calls = {"frame_coords": 0, "einsum": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    contract = counting("frame_coords", frame_bundle.frame_coords)
+    for module in (sde, frame_bundle, observables):
+        monkeypatch.setattr(module, "frame_coords", contract)
+    monkeypatch.setattr(np, "einsum", counting("einsum", np.einsum))
+    cfg = SimConfig(t_horizon=1.0, n_steps=24, seed=207)
+    x0 = np.zeros(5)
+    for workers in (1, 2):
+        line_integral_ensemble(heis2, FrameState(x0, np.eye(2)), cfg,
+                               sde.BLOCK + 1, form_du(2), n_workers=workers)
+        assert calls == {"frame_coords": 0, "einsum": 0}
+    line_integral_ensemble(heis2, FrameState(x0, np.exp(0.4j) * np.eye(2)), cfg,
+                           sde.BLOCK + 1, form_du(2), n_workers=2)
+    assert calls["frame_coords"] == 2 * cfg.n_steps
 
 
 def test_contact_form_integral_vanishes_pathwise(heis1, stored_path):

@@ -27,8 +27,9 @@ from crdiff.sde import (
     driving_increments,
     simulate_with_increments,
 )
+from crdiff.frame_bundle import frame_coords
 from crdiff.models import ChartBoundsError
-from crdiff.observables import form_du, line_integral
+from crdiff.observables import LineIntegralObserver, form_du, line_integral
 
 ORIGIN1 = FrameState(np.zeros(3), np.eye(1))
 
@@ -40,6 +41,8 @@ ORIGIN1 = FrameState(np.zeros(3), np.eye(1))
     "kwargs",
     [
         dict(t_horizon=0.0, n_steps=10, seed=1),
+        dict(t_horizon=np.inf, n_steps=10, seed=1),
+        dict(t_horizon=np.nan, n_steps=10, seed=1),
         dict(t_horizon=1.0, n_steps=-1, seed=1),
         dict(t_horizon=1.0, n_steps=10, seed=1, reunitarize_every=-1),
         dict(t_horizon=1.0, n_steps=10, seed=1, record_stride=3),
@@ -243,6 +246,113 @@ def test_flat_step_evaluates_velocity_once(heis2, monkeypatch):
     e = np.broadcast_to(np.eye(2, dtype=complex), (6, 2, 2)).copy()
     _heun(general, x, e, db, True)
     assert calls == [6, 6]
+
+
+# --- flat ensembles without frame contractions -------------------------------
+
+
+def _contracting_block(m, x0, e0, cfg, draw, form):
+    """A flat block stepped with a frame contraction per step, as the
+    ensemble loop did before it stepped identity frames on w = dB: every
+    step contracts each row's frame e0 with dB.  Returns (x, e, status,
+    steps_taken, records, line integral of form)."""
+    p_count, n = x0.shape[0], m.n
+    x = x0.astype(float)
+    e = np.broadcast_to(e0, (p_count, n, n)).astype(complex)
+    status = np.zeros(p_count, dtype=np.uint8)
+    steps = np.zeros(p_count, dtype=np.int64)
+    active = np.ones(p_count, dtype=bool)
+    ticks = cfg.n_steps + 1
+    rec = sde.Records(np.arange(ticks) * cfg.dt, np.zeros((ticks, p_count, m.dim)),
+                      np.zeros((ticks, p_count, n, n), dtype=complex),
+                      np.zeros((ticks, p_count), dtype=bool))
+    rec.x[0], rec.e[0], rec.valid[0] = x, e, True
+    ob = LineIntegralObserver(m, form, p_count)
+    for k in range(cfg.n_steps):
+        if not active.any():
+            break
+        db = draw(k, active)
+        dx, _ = sde.velocity_arrays(m, x, e, db, w=frame_coords(e, db))
+        x_new = x + dx
+        x_max = np.abs(x_new).max(axis=-1)
+        nonfinite = ~np.isfinite(x_max)
+        bad = nonfinite | (x_max > cfg.coordinate_cap)
+        upd = active & ~bad
+        ob(k, x, e, x_new, e, db, upd, dx)
+        x = np.where(upd[:, None], x_new, x)
+        stopped = active & bad
+        steps[stopped] = k
+        status[stopped] = np.where(nonfinite[stopped], STATUS_NONFINITE, sde.STATUS_CAPPED)
+        active = upd
+        rec.x[k + 1], rec.e[k + 1], rec.valid[k + 1] = x, e, active
+    steps[active] = cfg.n_steps
+    return x, e, status, steps, rec, ob.values
+
+
+def _assert_same_ensemble(ens, parts):
+    xs, es, statuses, steps, recs, vals = zip(*parts)
+    for got, want in ((ens.x, xs), (ens.e, es), (ens.status, statuses),
+                      (ens.steps_taken, steps), (ens.observables["line_integral"], vals)):
+        assert got.tobytes() == np.concatenate(want).tobytes()
+    for attr in ("x", "e", "valid"):
+        want = np.concatenate([getattr(r, attr) for r in recs], axis=1)
+        assert getattr(ens.records, attr).tobytes() == want.tobytes()
+    assert ens.records.times.tobytes() == recs[0].times.tobytes()
+    assert ens.e.flags.writeable and ens.records.e.flags.writeable
+
+
+def _flat_ensemble_and_reference(m, e0, cfg, n_paths, n_workers):
+    x0 = np.linspace(0.1, 0.3, m.dim)
+    form = form_du(m.n)
+    ens = simulate_ensemble(
+        m, FrameState(x0, e0), cfg, n_paths, n_workers=n_workers, record=True,
+        observer_factories={"line_integral": lambda w: LineIntegralObserver(m, form, w)},
+    )
+    parts = []
+    for b, lo in enumerate(range(0, n_paths, BLOCK)):
+        width = min(BLOCK, n_paths - lo)
+        draw = sde._seeded_draw_fn(cfg.seed, b, m.n, cfg.dt, width)
+        parts.append(_contracting_block(m, np.repeat(x0[None], width, axis=0), e0,
+                                        cfg, draw, form))
+    return ens, parts
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_flat_identity_ensemble_equals_frame_contraction(heis2, n_workers):
+    """From identity frames the flat loop steps on w = dB: states, frames,
+    statuses, records and the line integral keep the bits of a loop that
+    contracts each row's frame, over two blocks and with capped rows."""
+    cfg = SimConfig(t_horizon=0.5, n_steps=12, seed=61, coordinate_cap=0.9)
+    ens, parts = _flat_ensemble_and_reference(heis2, np.eye(2), cfg, BLOCK + 1, n_workers)
+    assert 0 < np.count_nonzero(ens.status == sde.STATUS_CAPPED) < BLOCK
+    _assert_same_ensemble(ens, parts)
+
+
+def test_flat_rotated_start_frame_keeps_contraction(heis2, monkeypatch):
+    """A flat run from a unitary start frame other than I contracts that
+    frame every step and keeps the reference loop's bits."""
+    calls = []
+    monkeypatch.setattr(sde, "frame_coords",
+                        lambda e, db: calls.append(1) or frame_coords(e, db))
+    q = _random_unitary(np.random.default_rng(62), 2)
+    cfg = SimConfig(t_horizon=0.5, n_steps=12, seed=63, coordinate_cap=0.9)
+    ens, parts = _flat_ensemble_and_reference(heis2, q, cfg, 600, 1)
+    assert len(calls) == cfg.n_steps
+    assert 0 < np.count_nonzero(ens.status == sde.STATUS_CAPPED) < 600
+    _assert_same_ensemble(ens, parts)
+
+
+def test_flat_identity_path_equals_frame_contraction(heis2):
+    cfg = SimConfig(t_horizon=0.5, n_steps=30, seed=64)
+    x0 = np.array([0.2, -0.1, 0.0, 0.3, 0.1])
+    path = simulate_path(heis2, FrameState(x0, np.eye(2)), cfg)
+    draw = sde._seeded_draw_fn(cfg.seed, 0, 2, cfg.dt, 1)
+    x, e, status, steps, rec, _ = _contracting_block(
+        heis2, x0[None], np.eye(2), cfg, draw, form_du(2))
+    want = sde._extract_path(cfg, x, e, status, steps, rec, None, slot=0)
+    assert path.status == want.status == "completed"
+    for attr in ("times", "x", "e"):
+        assert getattr(path, attr).tobytes() == getattr(want, attr).tobytes()
 
 
 # --- paths -------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The tracer swaps wrappers into module attributes; a renamed layer would
 leave its spans empty and zero a benchmark counter without an error.  A
-small dirichlet and a small density command under the tracer must record
-the spans of the refinement, its normals, the velocity and the KDE.
+small dirichlet, density and line-integral command under the tracer must
+record the spans of the refinement, its normals, the velocity, the KDE,
+the stepping blocks and the line-integral observer.
 """
 
 import importlib.util
@@ -40,3 +41,11 @@ def test_density_layers_traced(tmp_path):
         "--paths", "200", "--steps", "10", "--grid-points", "5", "--seed", "6",
         "--output", str(tmp_path / "density.csv")])
     assert {"observables.kde", "frame_bundle.velocity"} <= names
+
+
+def test_lineint_layers_traced(tmp_path):
+    names = _spans([
+        "line-integral", "--model", "heisenberg", "--n", "2", "--form", "du1",
+        "--workers", "2", "--paths", "4100", "--steps", "3", "--seed", "7",
+        "--output", str(tmp_path / "li.csv")])
+    assert {"sde.block", "frame_bundle.velocity", "observables.observer"} <= names
