@@ -17,14 +17,7 @@ from .models import (
     phase_rotated_heisenberg,
     validate_model,
 )
-from .frame_bundle import (
-    BundleVelocity,
-    FrameState,
-    TransportPrecisionError,
-    horizontal_velocity,
-    parallel_transport,
-    reunitarize,
-)
+from .frame_bundle import FrameState, reunitarize
 from .sde import (
     Ensemble,
     Path,

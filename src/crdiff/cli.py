@@ -218,6 +218,9 @@ def _validate(command: str, params: dict) -> None:
     for key, lo in pos.items():
         if key in params and params[key] < lo:
             raise ConfigError(f"key '{key}' must be >= {lo}")
+    # SimConfig's range (np.random.SeedSequence refuses a negative seed)
+    if "seed" in params and not 0 <= params["seed"] < 2**64:
+        raise ConfigError("key 'seed' must lie in [0, 2**64)")
     if "t_horizon" in params and not 0 < params["t_horizon"] < np.inf:
         raise ConfigError("key 't_horizon' must be positive and finite")
     # an infinite cap is allowed: it means no cap

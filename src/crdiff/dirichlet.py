@@ -5,10 +5,15 @@ by a defining function (negative inside).  The crossing step is then
 re-run at halved substeps whose increments are split by the conditional
 Gaussian midpoint law, drilling depth-first into the earliest crossing
 piece, until the exit point lands in a thin collar around the boundary.
-This keeps the first-exit discretization bias far below the Monte Carlo
-error.  When the refined dynamics reveal that a coarse crossing was
-spurious, the path resumes ordinary stepping from the refined step
-endpoint, so no exit-law bias is introduced.
+When the refined dynamics reveal that a coarse crossing was spurious, the
+path resumes ordinary stepping from the refined step endpoint.  Resuming
+removes spurious crossings but adds no missed ones: only a step whose
+coarse endpoint lies outside is refined, so an excursion that leaves and
+returns within one step is found only when the step happens to end
+outside.  The refined exit time looks ahead to the step's end, and the
+exit law keeps an O(sqrt(dt)) bias; the exit note of the README gives
+its measured size (-0.0204 +- 0.0008 at dt = 0.004 on the unit Koranyi
+ball).
 
 Harmonic averages of boundary data at the exit points solve the
 Dirichlet problem; mean exit times and boundary regularity probes reuse
@@ -83,8 +88,8 @@ class Domain:
 
 def koranyi_ball(n: int, radius: float) -> Domain:
     """The gauge ball |z|^4 + t^2 < R^4 of the 2n+1 Heisenberg chart."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
     dim = 2 * n + 1
     r4 = radius**4
 

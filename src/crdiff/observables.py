@@ -334,14 +334,23 @@ def estimate_density(
 def density_at(
     ens: Ensemble, m: ModelDescriptor, points: np.ndarray, bandwidth="scott"
 ) -> np.ndarray:
-    """Volume-relative KDE values at arbitrary chart points."""
+    """Volume-relative KDE values at arbitrary chart points.
+
+    points has shape (..., D) with finite entries; the values have its
+    leading shape, (1,) for a single point.
+    """
     samples = ens.x[ens.completed]
     if samples.shape[0] < 100:
         raise ValueError("density estimation needs at least 100 completed paths")
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[-1] != m.dim:
+        raise ValueError(f"points must have shape (..., {m.dim}), got {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
+    flat = points.reshape(-1, m.dim)
     bw = _bandwidth(samples, bandwidth)
-    raw = _kde_eval(samples, points, bw)
-    return raw / np.asarray(m.volume_density(points), dtype=float)
+    raw = _kde_eval(samples, flat, bw)
+    return (raw / np.asarray(m.volume_density(flat), dtype=float)).reshape(points.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,13 @@ class SimConfig:
     coordinate_cap stands in for non-explosion: a path whose sup-norm
     exceeds it is frozen and flagged capped rather than dropped.  A path
     whose state turns NaN or infinite is frozen and flagged nonfinite.
-    reunitarize_every = 0 disables frame reprojection.
+    seed lies in [0, 2**64); np.random.SeedSequence refuses a negative one.
+    reunitarize_every = 0 disables frame reprojection.  Known defect: with
+    it, or with a long period, a frame of a non-flat model can leave U(n)
+    with no flag, and its path is still reported as completed.  On
+    heisenberg_phase n = 2, kappa = 0.9, 100 steps over t = 1 without
+    projection, Var(u1) over 2 000 paths read 121 901 against the exact
+    0.5.
     """
 
     t_horizon: float
@@ -88,8 +94,8 @@ class SimConfig:
             raise ValueError("t_horizon must be positive and finite")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
-        if not -(2**63) <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        if not 0 <= int(self.seed) < 2**64:
+            raise ValueError("seed must lie in [0, 2**64)")
         if self.reunitarize_every < 0:
             raise ValueError("reunitarize_every must be >= 0")
         if self.record_stride < 1:

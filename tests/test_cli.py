@@ -90,6 +90,12 @@ def test_negative_steps_rejected_with_key_name(capsys):
     ("line-integral --paths 10 --steps 5 --t-horizon inf", "t_horizon"),
     ("dirichlet --t-horizon inf", "t_horizon"),
     ("simulate --t-horizon nan", "t_horizon"),
+    ("simulate --seed=-1", "seed"),
+    ("check-model --seed=-1", "seed"),
+    ("dirichlet --seed=-1", "seed"),
+    ("simulate --seed 18446744073709551616", "seed"),
+    ("dirichlet --domain koranyi:inf", "domain"),
+    ("dirichlet --domain koranyi:nan", "domain"),
 ])
 def test_malformed_value_is_config_error(argv, key, tmp_path, capsys, monkeypatch):
     """A malformed value exits 2 naming its key, before any path is run."""

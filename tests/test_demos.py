@@ -1,14 +1,17 @@
 """The demo scripts: every name they import from crdiff exists, and the
-bracket demo runs to completion."""
+bracket demo runs to completion.  The README's library table names only
+what its modules hold."""
 
 import ast
 import importlib
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMO_DIR = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMO_DIR = ROOT / "demos"
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
 
@@ -43,3 +46,23 @@ def test_bracket_demo_runs(capsys):
     out = capsys.readouterr().out
     assert "dt: witness (1,1*), value 0.000-2.000j" in out
     assert "theta: no witness up to order 4" in out
+
+
+def _library_table():
+    """(module, [names]) for each row of the README "Library layout" table."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) > 2 and cells[1].strip().startswith("`crdiff."):
+            yield cells[1].strip().strip("`"), re.findall(r"`([^`]+)`", cells[2])
+
+
+def test_readme_library_table_resolves():
+    rows = list(_library_table())
+    assert len(rows) >= 7
+    for module, names in rows:
+        mod = importlib.import_module(module)
+        assert names, f"README row {module} names nothing"
+        for name in names:
+            assert hasattr(mod, name), f"README: {module} has no name {name!r}"

@@ -42,6 +42,14 @@ def test_domain_geometry():
     assert bool(BALL.contains(np.array([0.3, 0.0, 0.0])))
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
+def test_koranyi_radius_must_be_positive_and_finite(radius):
+    """A NaN or infinite radius used to pass (radius <= 0 is False for NaN),
+    and every path then ran to the horizon."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        koranyi_ball(1, radius)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_koranyi_phi_bits(n):
     """The column-wise defining function has the bits of the np.sum form,

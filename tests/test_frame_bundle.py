@@ -1,26 +1,19 @@
-"""Horizontal velocities, parallel transport, frame reunitarization."""
+"""Horizontal velocities and frame reunitarization."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from crdiff import (
-    FrameState,
-    TransportPrecisionError,
-    horizontal_velocity,
-    parallel_transport,
-    reunitarize,
-)
+from crdiff import reunitarize
 from crdiff import dirichlet, sde
-from crdiff.frame_bundle import _polar_batch, frame_coefficients, velocity_arrays
+from crdiff.frame_bundle import _polar_batch, velocity_arrays
 
 
 def test_velocity_at_origin(heis1):
-    s = FrameState(np.zeros(3), np.eye(1))
-    v = horizontal_velocity(heis1, s, np.array([1.0]))
-    np.testing.assert_allclose(v.dx, [1.0, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(v.de, 0.0, atol=1e-15)
+    dx, de = velocity_arrays(heis1, np.zeros(3), np.eye(1), np.array([1.0]))
+    np.testing.assert_allclose(dx, [1.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(de, 0.0, atol=1e-15)
 
 
 def test_flat_velocity_skips_christoffel(heis2):
@@ -51,33 +44,24 @@ def test_flat_velocity_skips_christoffel(heis2):
 
 
 def test_velocity_at_z_equals_i(heis1):
-    s = FrameState(np.array([0.0, 1.0, 0.0]), np.eye(1))
-    v = horizontal_velocity(heis1, s, np.array([1.0]))
-    np.testing.assert_allclose(v.dx, [1.0, 0.0, 2.0], atol=1e-15)
+    dx, _ = velocity_arrays(heis1, np.array([0.0, 1.0, 0.0]), np.eye(1), np.array([1.0]))
+    np.testing.assert_allclose(dx, [1.0, 0.0, 2.0], atol=1e-15)
 
 
 def test_zero_direction_zero_velocity(gauge1):
-    s = FrameState(np.array([0.4, 0.2, -0.1]), np.eye(1))
-    v = horizontal_velocity(gauge1, s, np.zeros(1))
-    assert np.abs(v.dx).max() == 0.0
-    assert np.abs(v.de).max() == 0.0
+    dx, de = velocity_arrays(gauge1, np.array([0.4, 0.2, -0.1]), np.eye(1), np.zeros(1))
+    assert np.abs(dx).max() == 0.0
+    assert np.abs(de).max() == 0.0
 
 
 def test_no_vertical_leak_at_center(heis2):
     # at z = 0 the frame fields have no d/dt coefficient, so neither does
     # the projected velocity, whatever the driving direction
     rng = np.random.default_rng(3)
-    s = FrameState(np.zeros(5), np.eye(2))
     for _ in range(5):
         xi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v = horizontal_velocity(heis2, s, xi)
-        assert abs(v.dx[4]) < 1e-15
-
-
-def test_velocity_dimension_check(heis1):
-    s = FrameState(np.zeros(3), np.eye(1))
-    with pytest.raises(ValueError):
-        horizontal_velocity(heis1, s, np.array([1.0, 2.0]))
+        dx, _ = velocity_arrays(heis2, np.zeros(5), np.eye(2), xi)
+        assert abs(dx[4]) < 1e-15
 
 
 def test_velocity_is_real_valued(gauge1):
@@ -86,8 +70,8 @@ def test_velocity_is_real_valued(gauge1):
         x = rng.normal(size=3)
         q = np.exp(1j * rng.normal()) * np.eye(1)
         xi = rng.normal(size=1) + 1j * rng.normal(size=1)
-        v = horizontal_velocity(gauge1, FrameState(x, q), xi)
-        assert v.dx.dtype == np.float64
+        dx, _ = velocity_arrays(gauge1, x, q, xi)
+        assert dx.dtype == np.float64
 
 
 # --- reunitarization ---------------------------------------------------------
@@ -148,78 +132,3 @@ def test_polar_factor_shared_with_stepping():
     one polar factor."""
     assert sde._polar_batch is _polar_batch
     assert dirichlet._polar_batch is _polar_batch
-
-
-# --- parallel transport ------------------------------------------------------
-
-
-def _circle(n_nodes, radius=0.5, drift=0.1):
-    ts = np.linspace(0.0, 1.0, n_nodes)
-    pts = np.stack(
-        [radius * np.cos(2 * np.pi * ts), radius * np.sin(2 * np.pi * ts), drift * ts],
-        axis=1,
-    )
-    return ts, pts
-
-
-def test_transport_trivial_on_flat_connection(heis1):
-    ts, pts = _circle(101)
-    v0 = np.array([1.0 + 0.5j])
-    out = parallel_transport(heis1, ts, pts, v0)
-    np.testing.assert_allclose(out, v0, atol=1e-14)
-
-
-def test_transport_constant_curve_identity(gauge1):
-    ts = np.linspace(0, 1, 11)
-    pts = np.repeat(np.array([[0.3, 0.1, 0.2]]), 11, axis=0)
-    v0 = np.array([0.2 - 0.9j])
-    out = parallel_transport(gauge1, ts, pts, v0, velocities=np.zeros((11, 3)))
-    np.testing.assert_allclose(out, v0, atol=1e-14)
-
-
-def test_transport_gauge_loop_unitary_and_selfconvergent(gauge1):
-    v0 = np.array([1.0 - 0.25j])
-    ts1, pts1 = _circle(201)
-    ts2, pts2 = _circle(2001)
-    out1 = parallel_transport(gauge1, ts1, pts1, v0)
-    out2 = parallel_transport(gauge1, ts2, pts2, v0)
-    assert abs(abs(out1[0]) - abs(v0[0])) < 1e-8      # isometry
-    assert abs(out1[0] - out2[0]) < 1e-7              # 10x refinement agrees
-    assert abs(out1[0] - v0[0]) > 1e-3                # transport is nontrivial
-
-
-def test_transport_isometry_random_curves(gauge1):
-    rng = np.random.default_rng(4)
-    ts = np.linspace(0, 1, 301)
-    for _ in range(3):
-        coef = rng.normal(size=(3, 3)) * 0.3
-        pts = np.stack(
-            [np.polyval(coef[d], ts) * 0.5 for d in range(3)], axis=1
-        )
-        v0 = rng.normal(size=1) + 1j * rng.normal(size=1)
-        out = parallel_transport(gauge1, ts, pts, v0)
-        assert abs(np.linalg.norm(out) - np.linalg.norm(v0)) < 1e-8
-
-
-def test_transport_coarse_curve_raises(gauge1):
-    # two nodes across a fast vertical sweep cannot integrate the frame
-    # rotation: the unitarity defect is detected and refinement requested
-    ts = np.array([0.0, 1.0])
-    pts = np.array([[0.5, 0.0, 0.0], [0.5, 0.0, 8.0]])
-    vel = np.array([[0.0, 40.0, 8.0], [0.0, -40.0, 8.0]])
-    with pytest.raises(TransportPrecisionError):
-        parallel_transport(gauge1, ts, pts, np.array([1.0 + 0j]), velocities=vel)
-
-
-def test_frame_coefficients_reassemble(heis2):
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=5)
-    v = rng.normal(size=5)
-    coef = frame_coefficients(heis2, x, v)
-    z = heis2.frame(x)
-    t_vec = heis2.char_field(x)
-    rebuilt = coef[0] * t_vec + sum(
-        coef[1 + a] * z[:, a] + coef[3 + a] * np.conj(z[:, a]) for a in range(2)
-    )
-    np.testing.assert_allclose(rebuilt.real, v, atol=1e-12)
-    np.testing.assert_allclose(rebuilt.imag, 0.0, atol=1e-12)

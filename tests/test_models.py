@@ -23,6 +23,8 @@ from crdiff.models import (
     levi_gram,
 )
 
+from frame_oracle import matrix_gauge_h2
+
 RNG = np.random.default_rng(20260801)
 POINTS = RNG.normal(size=(10, 3))
 
@@ -202,28 +204,8 @@ def test_phase_gauge_needs_finite_kappa(kappa):
         phase_rotated_heisenberg(1, kappa)
 
 
-def _matrix_gauge_h2(kappa=0.6):
-    """The position-dependent non-diagonal rotation exp(i kappa t H) on a
-    five-dimensional chart, as (lam, dlam)."""
-    h_mat = np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]])
-    evals, evecs = np.linalg.eigh(h_mat)
-
-    def lam(x):
-        x = np.asarray(x, dtype=float)
-        phase = np.exp(1j * kappa * np.multiply.outer(x[..., 4], evals))
-        return np.einsum("ab,...b,cb->...ac", evecs, phase, np.conj(evecs))
-
-    def dlam(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (5, 2, 2), dtype=complex)
-        out[..., 4, :, :] = np.einsum("...ab,bc->...ac", 1j * kappa * lam(x), h_mat)
-        return out
-
-    return lam, dlam
-
-
 def test_matrix_gauge_on_h2_consistent(heis2):
-    lam, dlam = _matrix_gauge_h2()
+    lam, dlam = matrix_gauge_h2()
     m = gauge_rotated_model(heis2, lam, dlam)
     pts = RNG.normal(size=(6, 5))
     rep = validate_model(m, pts)
@@ -241,10 +223,10 @@ CONNECTION_MODELS = {
     "phase n=2": lambda: phase_rotated_heisenberg(2, 0.9),
     "phase n=3": lambda: phase_rotated_heisenberg(3, 0.9),
     "matrix gauge on H2": lambda: gauge_rotated_model(
-        heisenberg_model(2), *_matrix_gauge_h2()),
+        heisenberg_model(2), *matrix_gauge_h2()),
     # a non-flat base: the base connection form enters the closed form
     "matrix gauge on phase H2": lambda: gauge_rotated_model(
-        phase_rotated_heisenberg(2, 0.9), *_matrix_gauge_h2()),
+        phase_rotated_heisenberg(2, 0.9), *matrix_gauge_h2()),
 }
 
 
@@ -287,7 +269,7 @@ FRAME_ACTION_MODELS = {
     "phase n=2": lambda kappa: phase_rotated_heisenberg(2, kappa),
     "phase n=3": lambda kappa: phase_rotated_heisenberg(3, kappa),
     "matrix gauge on phase H2": lambda kappa: gauge_rotated_model(
-        phase_rotated_heisenberg(2, kappa), *_matrix_gauge_h2()),
+        phase_rotated_heisenberg(2, kappa), *matrix_gauge_h2()),
 }
 
 

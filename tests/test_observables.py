@@ -374,6 +374,29 @@ def test_density_permutation_invariant(heis1, terminal_ensemble):
     np.testing.assert_allclose(density_at(shuffled, heis1, pts), base, rtol=1e-12)
 
 
+@pytest.mark.parametrize("points", [
+    [0.0],
+    [[0.0, 0.0]],
+    np.zeros((2, 4)),
+    [0.0, np.nan, 0.0],
+    [[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]],
+])
+def test_density_at_rejects_malformed_points(heis1, terminal_ensemble, points):
+    """A point of the wrong length used to broadcast against the bandwidth
+    and return the value at another point; a non-finite one is refused too."""
+    with pytest.raises(ValueError, match="points must"):
+        density_at(terminal_ensemble, heis1, points)
+
+
+def test_density_at_keeps_leading_shape(heis1, terminal_ensemble):
+    pts = np.random.default_rng(78).normal(size=(2, 3, 3)) * 0.3
+    flat = density_at(terminal_ensemble, heis1, pts.reshape(-1, 3))
+    got = density_at(terminal_ensemble, heis1, pts)
+    assert got.shape == (2, 3)
+    np.testing.assert_array_equal(got.reshape(-1), flat)
+    assert density_at(terminal_ensemble, heis1, pts[0, 0]).shape == (1,)
+
+
 def _mesh_nodes(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 

@@ -47,11 +47,21 @@ ORIGIN1 = FrameState(np.zeros(3), np.eye(1))
         dict(t_horizon=1.0, n_steps=10, seed=1, reunitarize_every=-1),
         dict(t_horizon=1.0, n_steps=10, seed=1, record_stride=3),
         dict(t_horizon=1.0, n_steps=10, seed=1, coordinate_cap=0.0),
+        dict(t_horizon=1.0, n_steps=10, seed=-1),
+        dict(t_horizon=1.0, n_steps=10, seed=-(2**63)),
+        dict(t_horizon=1.0, n_steps=10, seed=2**64),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_config_seed_range_runs(heis1, seed):
+    """The ends of the accepted seed range are seeds SeedSequence takes."""
+    ens = simulate_ensemble(heis1, ORIGIN1, SimConfig(1.0, 3, seed), 2)
+    assert ens.completed.all()
 
 
 def test_config_dt():
