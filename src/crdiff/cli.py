@@ -274,6 +274,11 @@ def _point(params, key: str, dim: int) -> np.ndarray:
     return np.zeros(dim) if raw == "origin" else _floats(key, raw, dim)
 
 
+# the config key of a SimConfig field named otherwise; SimConfig's
+# messages start with the field at fault
+_FIELD_KEYS = {"n_steps": "steps", "coordinate_cap": "cap"}
+
+
 def _sim_config(params) -> SimConfig:
     try:
         return SimConfig(
@@ -285,7 +290,9 @@ def _sim_config(params) -> SimConfig:
             coordinate_cap=params["cap"],
         )
     except ValueError as exc:
-        raise ConfigError(f"key 'steps': {exc}") from exc
+        field = str(exc).split(" ", 1)[0]
+        key = _FIELD_KEYS.get(field, field)
+        raise ConfigError(f"key '{key}': {exc}") from exc
 
 
 def _form(params, n):

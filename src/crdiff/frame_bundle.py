@@ -73,11 +73,15 @@ def velocity_arrays(
     contraction for a model without one); de solves the parallelism
     constraint de = -G e with G the connection form along dx
     (m.connection_form: the model's connection evaluator, or the
-    Christoffel contraction for a model without one).  On a model with a
-    flat connection G = 0: de is a read-only broadcast zero and neither is
-    evaluated.  w, when given, must be frame_coords(e, xi); a caller that
-    evaluates several states with one frame passes it to contract once.
-    On a flat connection e is then not read and may be None.
+    Christoffel contraction for a model without one).  A form of shape
+    (..., 1, 1) is the scalar g I and is applied by broadcasting,
+    de = -(g e), with the bits of the contraction with g I for finite g
+    and e: the contraction sums from +0, so its zeros come out -0 and
+    g e is normalised the same way.  On a model with a flat connection
+    G = 0: de is a read-only broadcast zero and neither is evaluated.
+    w, when given, must be frame_coords(e, xi); a caller that evaluates
+    several states with one frame passes it to contract once.  On a flat
+    connection e is then not read and may be None.
     """
     n = m.n
     if w is None:
@@ -87,8 +91,11 @@ def velocity_arrays(
         shape = dx.shape[:-1] + (n, n)
         return dx, np.ndarray(shape, complex, _ZERO, strides=(0,) * len(shape))
     g = m.connection_form(x, w, dx)
-    de = -np.einsum("...gd,...de->...ge", g, e)
-    return dx, de
+    if g.shape[-1] != 1:
+        return dx, -np.einsum("...gd,...de->...ge", g, e)
+    de = g * e
+    de += 0.0  # -0 -> +0, as in a sum that starts from +0
+    return dx, np.negative(de, out=de)
 
 
 def _polar_batch(e: np.ndarray) -> np.ndarray:
@@ -98,9 +105,12 @@ def _polar_batch(e: np.ndarray) -> np.ndarray:
     NaN, without a warning, so the stepping loops retire it as nonfinite.
     """
     if e.shape[-1] == 1:
+        # complex division by a real a multiplies by 1/a: the bits of e / a
         a = np.abs(e)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(a > 0, e / a, np.nan)
+            u = e * (1.0 / a)
+        u[~(a > 0)] = np.nan
+        return u
     finite = np.isfinite(e).all(axis=(-2, -1))
     if not finite.all():
         out = np.full(e.shape, np.nan, dtype=complex)

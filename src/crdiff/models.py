@@ -126,13 +126,19 @@ class ModelDescriptor:
                           either end of it is not judged).  A replacement
                           frame that is not straight there needs
                           flat_connection=False.
-    connection(x, w, dx) -> (..., n, n) complex, or None: the connection
-                          form along X = dx = sum_b w_b Z_b + conj, as the
-                          matrix G[g, d] = sum_b w_b Gamma_{b, d}^{g}
-                          + conj(w_b) Gamma_{bbar, d}^{g} of de = -G e.
-                          It must agree with christoffel; without it the
-                          integrator contracts christoffel(x) with w (see
-                          connection_form).  dataclasses.replace(m,
+    connection(x, w, dx) -> (..., n, n) or (..., 1, 1) complex, or None:
+                          the connection form along X = dx = sum_b w_b Z_b
+                          + conj, as the matrix G[g, d] = sum_b w_b
+                          Gamma_{b, d}^{g} + conj(w_b) Gamma_{bbar, d}^{g}
+                          of de = -G e.  Shape (..., 1, 1) stands for the
+                          scalar form g I (any n): velocity_arrays applies
+                          it as de = -(g e) by broadcasting, and
+                          gauge_rotated_model's connection over such a base
+                          multiplies by g instead of a matrix product; any
+                          other caller of connection_form must broadcast it
+                          too.  It must agree with christoffel; without it
+                          the integrator contracts christoffel(x) with w
+                          (see connection_form).  dataclasses.replace(m,
                           christoffel=...) keeps the old connection, so a
                           replacement christoffel must come with a matching
                           connection (or connection=None) to reach the
@@ -235,11 +241,13 @@ class ModelDescriptor:
         return 2.0 * np.real(np.einsum("...kb,...b->...k", self.frame(x), w))
 
     def connection_form(self, x: np.ndarray, w: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        """The matrix G of de = -G e along X = dx, shape (..., n, n).
+        """The matrix G of de = -G e along X = dx, shape (..., n, n), or
+        (..., 1, 1) for a scalar form g I.
 
         w: (..., n) frame coefficients of the direction, dx: (..., D) its
-        real components.  Calls the model's connection when it has one;
-        otherwise contracts the Christoffel symbols with w.
+        real components.  Calls the model's connection when it has one
+        (which may return the scalar shape); otherwise contracts the
+        Christoffel symbols with w, a full (..., n, n) matrix.
         """
         if self.connection is not None:
             return self.connection(x, w, dx)
@@ -463,7 +471,10 @@ def _gauge_fields(base: ModelDescriptor, lam, dlam) -> dict:
         inner = np.einsum("...j,...jbc->...cb", dx, dlam(x))
         if not base.flat_connection:
             w_base = np.einsum("...ab,...a->...b", L, w)
-            inner = inner + base.connection_form(x, w_base, dx) @ np.swapaxes(L, -1, -2)
+            g0 = base.connection_form(x, w_base, dx)
+            lt = np.swapaxes(L, -1, -2)
+            # a (..., 1, 1) base form is the scalar g0 I
+            inner = inner + (g0 * lt if g0.shape[-1] == 1 else g0 @ lt)
         return np.conj(L) @ inner
 
     def frame_jacobian(x: np.ndarray) -> np.ndarray:
@@ -498,11 +509,15 @@ def phase_rotated_heisenberg(n: int, kappa: float) -> ModelDescriptor:
     projected diffusion law coincides with the plain Heisenberg one.
 
     The gauge L = p I, p = exp(i kappa t), commutes with every matrix, so
-    the two stepping evaluators have closed forms: the frame action is
-    the Heisenberg action at p w (one phase per point, no L), and the
-    connection form along dx is G = i kappa dx_t I, the value of
-    conj(L) X(L)^T for |p| = 1 (no phase at all).  frame, christoffel and
-    frame_jacobian are gauge_rotated_model's.  kappa must be finite.
+    the two stepping evaluators have closed forms.  The frame action is
+    the Heisenberg action at p w: one phase per point, no L, and p filled
+    from cos(kappa t) and sin(kappa t), to which numpy's complex exp of
+    i kappa t (real part exactly 0) reduces; the tests check the two bit
+    for bit.  The connection form along dx is G = i kappa dx_t I, the
+    value of conj(L) X(L)^T for |p| = 1 (no phase at all), returned in
+    the scalar shape (..., 1, 1) with no identity matrix.  frame,
+    christoffel and frame_jacobian are gauge_rotated_model's, from lam
+    and dlam with the complex exp.  kappa must be finite.
     """
     if not np.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa!r}")
@@ -524,11 +539,14 @@ def phase_rotated_heisenberg(n: int, kappa: float) -> ModelDescriptor:
 
     def frame_action(x: np.ndarray, w: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        phase = np.exp(1j * kappa * x[..., dim - 1])
+        kt = kappa * x[..., dim - 1]
+        phase = np.empty(kt.shape, dtype=complex)
+        np.cos(kt, out=phase.real)
+        np.sin(kt, out=phase.imag)
         return base.frame_action(x, phase[..., None] * w)
 
     def connection(x: np.ndarray, w: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        return (1j * kappa * dx[..., dim - 1])[..., None, None] * eye
+        return (1j * kappa * dx[..., dim - 1])[..., None, None]
 
     fields = _gauge_fields(base, lam, dlam)
     fields.update(frame_action=frame_action, connection=connection)

@@ -96,6 +96,13 @@ def test_negative_steps_rejected_with_key_name(capsys):
     ("simulate --seed 18446744073709551616", "seed"),
     ("dirichlet --domain koranyi:inf", "domain"),
     ("dirichlet --domain koranyi:nan", "domain"),
+    # refused by SimConfig, after the model is built
+    ("simulate --paths 2 --steps 4 --reunitarize-every=-1", "reunitarize_every"),
+    ("simulate --paths 2 --steps 4 --record-stride 3", "record_stride"),
+    ("density --steps 4 --reunitarize-every=-2", "reunitarize_every"),
+    ("line-integral --steps 4 --record-stride 3", "record_stride"),
+    ("charfn --steps 4 --reunitarize-every=-1", "reunitarize_every"),
+    ("dirichlet --steps 4 --record-stride 3", "record_stride"),
 ])
 def test_malformed_value_is_config_error(argv, key, tmp_path, capsys, monkeypatch):
     """A malformed value exits 2 naming its key, before any path is run."""

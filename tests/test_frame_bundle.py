@@ -1,13 +1,13 @@
 """Horizontal velocities and frame reunitarization."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from crdiff import reunitarize
-from crdiff import dirichlet, sde
-from crdiff.frame_bundle import _polar_batch, velocity_arrays
+from crdiff import dirichlet, phase_rotated_heisenberg, reunitarize, sde
+from crdiff.frame_bundle import _polar_batch, frame_coords, velocity_arrays
 
 
 def test_velocity_at_origin(heis1):
@@ -74,6 +74,29 @@ def test_velocity_is_real_valued(gauge1):
         assert dx.dtype == np.float64
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("frames", ["identity", "unitary"])
+def test_scalar_connection_form_matches_contraction(n, frames):
+    """A (..., 1, 1) connection form g is applied by broadcasting with the
+    bits of the contraction with g I, zeros and their signs included."""
+    m = phase_rotated_heisenberg(n, 0.9)
+    rng = np.random.default_rng(40 + n)
+    p = 512
+    x = rng.normal(size=(p, 2 * n + 1))
+    xi = rng.normal(size=(p, n)) + 1j * rng.normal(size=(p, n))
+    xi[:2] = 0.0  # dx = 0 there, so g = 0 and every product is zero
+    if frames == "identity":
+        e = np.broadcast_to(np.eye(n, dtype=complex), (p, n, n)).copy()
+    else:
+        a = rng.normal(size=(p, n, n)) + 1j * rng.normal(size=(p, n, n))
+        e = np.linalg.qr(a)[0]
+    dx, de = velocity_arrays(m, x, e, xi)
+    g = m.connection(x, frame_coords(e, xi), dx)
+    assert g.shape == (p, 1, 1) and not g.real.any()
+    want = -np.einsum("...gd,...de->...ge", g * np.eye(n), e)
+    assert de.shape == want.shape and de.tobytes() == want.tobytes()
+
+
 # --- reunitarization ---------------------------------------------------------
 
 
@@ -125,6 +148,16 @@ def test_polar_n1_closed_form():
     np.testing.assert_array_equal(reunitarize(e), e / np.abs(e))
     with pytest.raises(ValueError):
         reunitarize(np.array([[[1.0 + 0j]], [[0.0 + 0j]]]))
+    # a zero or non-finite row comes back NaN, silently; the rest are e / |e|
+    bad = [0j, complex(np.inf, 0.0), complex(np.nan, 1.0),
+           complex(np.inf, np.nan), complex(-np.inf, np.inf)]
+    rows = np.array([[[z]] for z in [*e.ravel(), *bad, 0.3 + 0.4j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = _polar_batch(rows)
+    assert np.isnan(u[3:8]).all()
+    finite = np.r_[0:3, 8]
+    np.testing.assert_array_equal(u[finite], rows[finite] / np.abs(rows[finite]))
 
 
 def test_polar_factor_shared_with_stepping():

@@ -252,6 +252,11 @@ def test_connection_matches_christoffel_contraction(name, data):
     want = np.einsum("...b,...bdg->...gd", w, gam[..., 1 : n + 1, :, :])
     want += np.einsum("...b,...bdg->...gd", np.conj(w), gam[..., n + 1 :, :, :])
     got = m.connection(x, w, dx)
+    # the phase gauge's form is the scalar i kappa dx_t, shape (p, 1, 1),
+    # standing for that multiple of I
+    assert got.shape == ((p, 1, 1) if name.startswith("phase") else (p, n, n))
+    if got.shape[-1] == 1:
+        got = got * np.eye(n)
     assert got.shape == want.shape == (p, n, n)
     # relative to the size of the summed terms, which bounds |want|
     scale = 2.0 * np.abs(w).sum(axis=-1).max() * np.abs(gam).max()
@@ -299,6 +304,22 @@ def test_frame_action_matches_frame_contraction(name, data):
     scale = 2.0 * np.abs(w).sum(axis=-1).max() * np.abs(z).max()
     assert np.abs(got - want).max() <= 1e-14 * scale
     np.testing.assert_array_equal(m.base_velocity(x, w), got)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_phase_frame_action_matches_complex_exp(n):
+    """The phase gauge fills its phase from cos and sin: the bits of the
+    Heisenberg action at exp(i kappa t) w, for t over scales 1 to 1e4."""
+    rng = np.random.default_rng(61)
+    for kappa in (0.9, -0.7, 3.0, 1e-3):
+        m = phase_rotated_heisenberg(n, kappa)
+        x = rng.normal(size=(4096, 2 * n + 1))
+        x[:, -1] *= np.repeat([1.0, 10.0, 1e3, 1e4], 1024)
+        x[:3, -1] = [0.0, -0.0, 2.0 * np.pi / kappa]
+        w = rng.normal(size=(4096, n)) + 1j * rng.normal(size=(4096, n))
+        phase = np.exp(1j * kappa * x[:, -1])
+        want = heisenberg_model(n).frame_action(x, phase[:, None] * w)
+        assert m.frame_action(x, w).tobytes() == want.tobytes()
 
 
 def test_base_velocity_falls_back_to_frame_contraction(heis1, gauge1):
