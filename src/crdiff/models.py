@@ -16,7 +16,7 @@ conjugate, 1 <= a <= n.  Christoffel data is a complex array of shape
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -44,6 +44,11 @@ GAUGE_UNITARITY_TOL = 1e-12
 # largest relative mismatch of frame_action against the frame contraction at
 # the construction probe
 FRAME_ACTION_RTOL = 1e-12
+# _prefix_sum takes np.cumsum for at most this many columns and one add per
+# step for more: cumsum costs about 65 ns per column and step, an add about
+# 1 us plus its columns (2-CPU Xeon host, numpy 2.4), so the two cross
+# between 256 and 512 columns at 16 steps
+_CUMSUM_COLUMNS = 256
 
 
 def fd_stencil(x: np.ndarray) -> np.ndarray:
@@ -73,6 +78,19 @@ def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> 
     """
     x = np.asarray(x, dtype=float)
     return fd_quotient(f(fd_stencil(x)), x.ndim - 1)
+
+
+def _prefix_sum(a: np.ndarray) -> None:
+    """In place along axis -2: a[..., j, :] += a[..., j - 1, :] for j = 1, 2, ...
+
+    Either way each partial sum is acc + next, added in sequence, so it
+    has the bits of the step-by-step sum, NaN rows included.
+    """
+    if a.size <= _CUMSUM_COLUMNS * a.shape[-2]:
+        np.cumsum(a, axis=-2, out=a)
+        return
+    for j in range(1, a.shape[-2]):
+        np.add(a[..., j - 1, :], a[..., j, :], out=a[..., j, :])
 
 
 class ChartBoundsError(ValueError):
@@ -155,6 +173,14 @@ class ModelDescriptor:
                           frame_action (or frame_action=None); one that
                           differs at the probe point is rejected there, one
                           that differs only elsewhere is not seen.
+                          A frame action may carry a closed form of K flat
+                          steps as its attribute flat_chunk (see the
+                          property of that name), as heisenberg_model's
+                          does.  The form travels with the callable, so
+                          dataclasses.replace(m, frame_action=...) drops it
+                          and the replacement is stepped one step at a
+                          time; a replacement that carries its own form
+                          is probed again on its first use.
     """
 
     n: int
@@ -169,6 +195,9 @@ class ModelDescriptor:
     flat_connection: bool = False
     connection: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
     frame_action: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    # set once the frame action's flat_chunk has passed its probe
+    _flat_chunk_checked: bool = field(default=False, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self) -> None:
         if self.chart_bound is not None:
@@ -179,10 +208,7 @@ class ModelDescriptor:
                     f"({self.dim}, 2), got {bound.shape}"
                 )
             object.__setattr__(self, "chart_bound", bound)
-        probe = 0.1 + (0.2 / (self.dim - 1)) * np.arange(self.dim)
-        if self.chart_bound is not None:
-            probe = np.clip(probe, self.chart_bound[:, 0], self.chart_bound[:, 1])
-        w = (0.7 - 0.2j) - (0.4 - 1.1j) * np.arange(self.n)
+        probe, w = self._probe()
         dx = None
         if self.frame_action is not None:
             dx = self._check_frame_action(probe, w)
@@ -193,6 +219,14 @@ class ModelDescriptor:
                     "Christoffel symbols do not vanish"
                 )
             self._check_straight(probe, w, dx)
+
+    def _probe(self) -> tuple:
+        """The construction probe: a point inside the chart and frame
+        coefficients w (n,)."""
+        probe = 0.1 + (0.2 / (self.dim - 1)) * np.arange(self.dim)
+        if self.chart_bound is not None:
+            probe = np.clip(probe, self.chart_bound[:, 0], self.chart_bound[:, 1])
+        return probe, (0.7 - 0.2j) - (0.4 - 1.1j) * np.arange(self.n)
 
     def _check_frame_action(self, probe: np.ndarray, w: np.ndarray) -> np.ndarray:
         """The frame action at the probe, checked against the frame."""
@@ -226,9 +260,47 @@ class ModelDescriptor:
                 f"base velocity changes along a horizontal line (residual {err:.3e})"
             )
 
+    def _check_flat_chunk(self, chunk) -> None:
+        """chunk at the probe against three base-velocity steps, bit for
+        bit."""
+        probe, w = self._probe()
+        ws = np.array([1.0, -0.5j, 0.25 + 1.0j])[:, None, None] * w
+        xs = [probe[None]]
+        for wk in ws:
+            xs.append(xs[-1] + self.base_velocity(xs[-1], wk))
+        ref = np.stack(xs)
+        got = np.asarray(chunk(probe[None], ws))
+        if got.shape != ref.shape or got.tobytes() != ref.tobytes():
+            raise ValueError(
+                f"flat_chunk of model '{self.name}' does not reproduce the "
+                "steps of its frame action"
+            )
+
     @property
     def dim(self) -> int:
         return 2 * self.n + 1
+
+    @property
+    def flat_chunk(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray] | None:
+        """K frameless flat steps at once, or None.
+
+        flat_chunk(x0, w) takes start points x0 (P, D) and frame
+        coefficients w (K, P, n) and returns the states (K + 1, P, D)
+        before and after each step x <- x + base_velocity(x, w[k]), with
+        the bits of those steps.  It is the flat_chunk attribute of the
+        frame action, present only on a flat connection.  On first use it
+        is checked against three such steps at the construction probe, bit
+        for bit (ValueError on a mismatch).  The check is not made on
+        construction: it costs about as much as the rest of the
+        construction probes, and only exit sampling reads the form.
+        """
+        if not self.flat_connection:
+            return None
+        chunk = getattr(self.frame_action, "flat_chunk", None)
+        if chunk is not None and not self._flat_chunk_checked:
+            self._check_flat_chunk(chunk)
+            object.__setattr__(self, "_flat_chunk_checked", True)
+        return chunk
 
     def base_velocity(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """The real base velocity dx = 2 Re(sum_b w_b Z_b(x)), shape (..., D).
@@ -294,7 +366,10 @@ def heisenberg_model(n: int) -> ModelDescriptor:
     straight, as flat_connection also declares: the velocity
     (Re w, Im w, 2 sum(v Re w - u Im w)) is constant along the line, and
     a unit step along it is the right translation by the group element
-    (Re w, Im w, 0) (Gaveau 1977, Acta Math. 139).
+    (Re w, Im w, 0) (Gaveau 1977, Acta Math. 139).  So K flat steps are
+    prefix sums over the step axis, which the frame action carries as
+    its flat_chunk: u and v sum Re w and Im w, and t sums the increments
+    2 sum(v Re w - u Im w) at the pre-step u and v.
     """
     if n <= 0:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -360,6 +435,31 @@ def heisenberg_model(n: int) -> ModelDescriptor:
             t += x[..., 2 * a + 1] * wr[..., a] - x[..., 2 * a] * wi[..., a]
         t *= 2.0
         return out
+
+    def flat_chunk(x0: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # K steps x + frame_action(x, w[k]) at once: u_a and v_a are prefix
+        # sums of Re w_a and Im w_a, t a prefix sum of the t velocities, each
+        # formed as frame_action forms it from the pre-step u and v.  The
+        # work array holds one contiguous (K + 1, P) block per coordinate.
+        x0 = np.asarray(x0, dtype=float)
+        cols = np.empty((dim, w.shape[0] + 1, x0.shape[0]))
+        cols[:, 0] = x0.T
+        wr, wi = w.real, w.imag
+        for a in range(n):
+            cols[2 * a, 1:] = wr[..., a]
+            cols[2 * a + 1, 1:] = wi[..., a]
+        _prefix_sum(cols[: dim - 1])
+        pre, t = cols[:, :-1], cols[dim - 1, 1:]
+        np.subtract(pre[1] * wr[..., 0], pre[0] * wi[..., 0], out=t)
+        for a in range(1, n):
+            t += pre[2 * a + 1] * wr[..., a] - pre[2 * a] * wi[..., a]
+        t *= 2.0
+        _prefix_sum(cols[dim - 1])
+        return np.moveaxis(cols, 0, -1)
+
+    # the closed form belongs to this frame action: a model given another
+    # frame action (dataclasses.replace) steps without it
+    frame_action.flat_chunk = flat_chunk
 
     return ModelDescriptor(
         n=n,

@@ -659,6 +659,81 @@ def test_crossing_test_runs_once_per_chunk(heis1, monkeypatch, start, t_horizon)
         assert batch.exited.any() and sum(joins) > 1
 
 
+# --- flat chunks in closed form -------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flat_chunk_matches_heun_steps(n):
+    """The model's closed form of a chunk gives the bits of K frameless
+    Heun steps, for every K up to CHUNK, at 1 and 56 rows and at and past
+    the exit loop's row bound, with starts that are NaN or infinite in
+    some coordinates."""
+    m = heisenberg_model(n)
+    rng = np.random.default_rng(60 + n)
+    bound = dirichlet.FLAT_CHUNK_ROWS
+    for rows in (1, 56, bound, bound + 1):
+        x0 = rng.standard_normal((rows, m.dim))
+        x0[1::7, 0] = np.nan
+        x0[3::7, -1] = np.inf
+        x0[5::7, 1] = -np.inf
+        for k in range(1, dirichlet.CHUNK + 1):
+            w = rng.standard_normal((k, rows, n)) + 1j * rng.standard_normal((k, rows, n))
+            with np.errstate(invalid="ignore"):
+                xs = [x0]
+                for j in range(k):
+                    xs.append(sde._heun(m, xs[-1], None, w[j], False)[0])
+                got = m.flat_chunk(x0, w)
+            assert got.tobytes() == np.stack(xs).tobytes(), (rows, k)
+
+
+def _count_heun(monkeypatch) -> list:
+    """The row count of every dirichlet._heun call."""
+    rows = []
+    heun = dirichlet._heun
+
+    def spy(m, x, *args):
+        rows.append(x.shape[0])
+        return heun(m, x, *args)
+
+    monkeypatch.setattr(dirichlet, "_heun", spy)
+    return rows
+
+
+def test_flat_chunks_make_no_heun_calls(heis1, gauge1, nan_beyond, monkeypatch):
+    """Within the row bound the flat model's exit chunks make no Heun
+    call (no path crosses, so the refinement makes none either).  The
+    gauge model, the flat model with a replaced frame action and a flat
+    live set past the bound go one Heun call per step."""
+    cfg = SimConfig(t_horizon=1e-3, n_steps=40, seed=325)
+    calls = _count_heun(monkeypatch)
+    batch = sample_exits(heis1, np.zeros(3), BALL, cfg, 64)
+    assert calls == [] and (batch.status == STATUS_HORIZON).all()
+    for m in (gauge1, nan_beyond(heis1, 5.0)):
+        calls.clear()
+        batch = sample_exits(m, np.zeros(3), BALL, cfg, 64)
+        assert calls == [64] * cfg.n_steps and (batch.status == STATUS_HORIZON).all()
+    monkeypatch.setattr(dirichlet, "FLAT_CHUNK_ROWS", 63)
+    calls.clear()
+    sample_exits(heis1, np.zeros(3), BALL, cfg, 64)
+    assert calls == [64] * cfg.n_steps
+
+
+@pytest.mark.parametrize("chunk", [0, -1, 2.5, 4.0, "16", None])
+def test_chunk_must_be_positive_integer(heis1, monkeypatch, chunk):
+    monkeypatch.setattr(dirichlet, "CHUNK", chunk)
+    with pytest.raises(ValueError, match="CHUNK"):
+        sample_exits(heis1, np.zeros(3), BALL, CFG, 4)
+
+
+@pytest.mark.parametrize("chunk", [1, np.int64(5)])
+def test_chunk_accepts_integers(heis1, monkeypatch, chunk):
+    cfg = SimConfig(t_horizon=2.0, n_steps=200, seed=326)
+    ref = sample_exits(heis1, np.zeros(3), BALL, cfg, 8)
+    monkeypatch.setattr(dirichlet, "CHUNK", chunk)
+    batch = sample_exits(heis1, np.zeros(3), BALL, cfg, 8)
+    assert batch.tau.tobytes() == ref.tau.tobytes()
+
+
 # --- refinement: normals by table, no frame on a flat model ---------------------
 
 

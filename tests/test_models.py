@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crdiff import (
+    SimConfig,
     gauge_rotated_model,
     heisenberg_model,
     koranyi_ball,
     phase_rotated_heisenberg,
+    sample_exits,
     validate_model,
 )
 from crdiff.models import (
@@ -384,6 +386,43 @@ def test_flat_declaration_with_curved_christoffel_rejected(heis1, gauge1):
         dataclasses.replace(heis1, christoffel=gauge1.christoffel)
     with pytest.raises(ValueError, match="flat connection"):
         dataclasses.replace(gauge1, flat_connection=True)
+
+
+# --- closed-form flat chunks -----------------------------------------------------
+
+
+def test_flat_chunk_belongs_to_its_frame_action(heis1, gauge1, nan_beyond):
+    """Only a flat model whose frame action carries the closed form has
+    one: a replaced frame action, a gauge model and the model declared
+    not flat have none."""
+    assert heis1.flat_chunk is heis1.frame_action.flat_chunk
+    assert dataclasses.replace(heis1, name="copy").flat_chunk is heis1.flat_chunk
+    assert nan_beyond(heis1, 0.3).flat_chunk is None
+    assert gauge1.flat_chunk is None
+    assert dataclasses.replace(heis1, flat_connection=False).flat_chunk is None
+
+
+def test_flat_chunk_disagreeing_with_frame_action_rejected(heis1):
+    """On first use the closed form is compared with three steps bit for
+    bit: one ulp off in the last t is rejected."""
+
+    def action(x, w):
+        return heis1.frame_action(x, w)
+
+    def off_by_one_ulp(x0, w):
+        out = np.array(heis1.flat_chunk(x0, w))
+        out[-1, :, -1] = np.nextafter(out[-1, :, -1], np.inf)
+        return out
+
+    action.flat_chunk = off_by_one_ulp
+    m = dataclasses.replace(heis1, frame_action=action)
+    with pytest.raises(ValueError, match="flat_chunk"):
+        m.flat_chunk
+    with pytest.raises(ValueError, match="flat_chunk"):
+        sample_exits(m, np.zeros(3), koranyi_ball(1, 1.0),
+                     SimConfig(t_horizon=0.1, n_steps=10, seed=1), 4)
+    action.flat_chunk = heis1.flat_chunk
+    assert dataclasses.replace(heis1, frame_action=action).flat_chunk is heis1.flat_chunk
 
 
 def _loop_central_difference(f, x, h):
