@@ -21,9 +21,8 @@ the same sampler.
 
 Live paths advance in chunks of up to CHUNK steps between crossing
 tests.  On a flat model whose frame action has a closed form for several
-steps (heisenberg_model's prefix sums), a chunk of at most
-FLAT_CHUNK_ROWS live rows is one call of it instead of one Heun call per
-step; the bits are the same either way.
+steps (heisenberg_model's prefix sums), a chunk is one call of it
+instead of one Heun call per step; the bits are the same either way.
 """
 
 from __future__ import annotations
@@ -64,13 +63,6 @@ MAX_REFINE_LEVELS = 30
 # most steps the exit loop advances its live rows between two crossing
 # tests; an integer >= 1, and the results do not depend on it
 CHUNK = 16
-# most live rows whose flat chunk is one closed-form call (the model's
-# flat_chunk) rather than a Heun call per step; the results do not depend
-# on it.  16 steps, us, per-step loop -> closed form (2-CPU Xeon host, one
-# BLAS thread): n = 1: 56 rows 101 -> 28, 512 rows 150 -> 82, 2048 rows
-# 303 -> 168, 4096 rows 586 -> 363; n = 3: 56 rows 189 -> 61, 512 rows
-# 358 -> 171, 2048 rows 1046 -> 885, 4096 rows 1881 -> 1874
-FLAT_CHUNK_ROWS = 2048
 # refinement levels whose normals one _event_zdraws call tabulates; the
 # results do not depend on it
 _Z_BAND = 8
@@ -425,16 +417,15 @@ def _exit_block(
     generator that drew is saved right after the draw; the draws do not
     depend on the states, so a chunk makes them first and scales the live
     rows' increments in one call.  Then each step is one Heun step of the
-    packed rows, or, on a flat model with a closed form (m.flat_chunk)
-    and at most FLAT_CHUNK_ROWS live rows, the whole chunk is one call
-    that returns every state of it, as prefix sums over the chunk axis,
-    with the bits of the Heun steps.  Wider live sets, models without the
-    closed form and non-flat models step one step at a time.  The
-    crossing test, the masks and the compaction run
-    once per chunk, on phi of all the chunk's states: a row stops at its
-    first step whose phi is not finite and negative, and the states it
-    reached after that step are dropped.  The per-row arithmetic is that
-    of a test after every step, so the bytes of the batch are too.
+    packed rows, or, on a flat model with a closed form (m.flat_chunk),
+    the whole chunk is one call that returns every state of it, as prefix
+    sums over the chunk axis, with the bits of the Heun steps.  Models
+    without the closed form and non-flat models step one step at a time.
+    The crossing test, the masks and the compaction run once per chunk,
+    on phi of all the chunk's states: a row stops at its first step whose
+    phi is not finite and negative, and the states it reached after that
+    step are dropped.  The per-row arithmetic is that of a test after
+    every step, so the bytes of the batch are too.
 
     A chunk ends at the next join step and at n_steps; its length
     restarts at 1 after each join and doubles up to CHUNK, so a joining
@@ -527,7 +518,7 @@ def _exit_block(
             db = _scaled_increments(g[:kc, live].reshape(-1, 2 * n), scale)
             db = db.reshape(kc, live.size, n)
             # xs[j], es[j]: the states before step k + j
-            if flat_chunk is not None and live.size <= FLAT_CHUNK_ROWS:
+            if flat_chunk is not None:
                 xs, es = flat_chunk(xl, db), [None]
             else:
                 xs, es = [xl], [el]

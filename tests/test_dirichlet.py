@@ -665,13 +665,13 @@ def test_crossing_test_runs_once_per_chunk(heis1, monkeypatch, start, t_horizon)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_flat_chunk_matches_heun_steps(n):
     """The model's closed form of a chunk gives the bits of K frameless
-    Heun steps, for every K up to CHUNK, at 1 and 56 rows and at and past
-    the exit loop's row bound, with starts that are NaN or infinite in
-    some coordinates."""
+    Heun steps, for every K up to CHUNK, at 1 and 56 rows, at 256 and 257
+    (either side of the prefix sum's switch from np.cumsum to an add per
+    step for t) and at sde.BLOCK rows (the widest exit live set), with
+    starts that are NaN or infinite in some coordinates."""
     m = heisenberg_model(n)
     rng = np.random.default_rng(60 + n)
-    bound = dirichlet.FLAT_CHUNK_ROWS
-    for rows in (1, 56, bound, bound + 1):
+    for rows in (1, 56, 256, 257, sde.BLOCK):
         x0 = rng.standard_normal((rows, m.dim))
         x0[1::7, 0] = np.nan
         x0[3::7, -1] = np.inf
@@ -700,22 +700,50 @@ def _count_heun(monkeypatch) -> list:
 
 
 def test_flat_chunks_make_no_heun_calls(heis1, gauge1, nan_beyond, monkeypatch):
-    """Within the row bound the flat model's exit chunks make no Heun
-    call (no path crosses, so the refinement makes none either).  The
-    gauge model, the flat model with a replaced frame action and a flat
-    live set past the bound go one Heun call per step."""
+    """The flat model's exit chunks make no Heun call, at 64 paths and at
+    a full block (no path crosses, so the refinement makes none either).
+    The gauge model and the flat model with a replaced frame action go
+    one Heun call per step."""
     cfg = SimConfig(t_horizon=1e-3, n_steps=40, seed=325)
     calls = _count_heun(monkeypatch)
-    batch = sample_exits(heis1, np.zeros(3), BALL, cfg, 64)
-    assert calls == [] and (batch.status == STATUS_HORIZON).all()
+    for p_count in (64, sde.BLOCK):
+        batch = sample_exits(heis1, np.zeros(3), BALL, cfg, p_count)
+        assert calls == [] and (batch.status == STATUS_HORIZON).all()
     for m in (gauge1, nan_beyond(heis1, 5.0)):
         calls.clear()
         batch = sample_exits(m, np.zeros(3), BALL, cfg, 64)
         assert calls == [64] * cfg.n_steps and (batch.status == STATUS_HORIZON).all()
-    monkeypatch.setattr(dirichlet, "FLAT_CHUNK_ROWS", 63)
-    calls.clear()
-    sample_exits(heis1, np.zeros(3), BALL, cfg, 64)
-    assert calls == [64] * cfg.n_steps
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flat_chunks_match_per_step_exits(n, monkeypatch):
+    """The exit batches of the closed-form chunks have the bytes of the
+    per-step Heun loop, which a plain wrapper of the same frame action
+    (it carries no flat_chunk) takes.  A full block of collar starts
+    crosses, exits and resumes, so the live set runs from sde.BLOCK rows
+    down to a few."""
+    m = heisenberg_model(n)
+
+    def action(x, w):
+        return m.frame_action(x, w)
+
+    stepped = dataclasses.replace(m, frame_action=action)
+    assert m.flat_chunk is not None and stepped.flat_chunk is None
+    d = koranyi_ball(n, 1.0)
+    p_count = sde.BLOCK
+    rng = np.random.default_rng(70 + n)
+    starts = np.zeros((p_count, m.dim))
+    starts[:, 0] = rng.uniform(0.6, 0.88, p_count)
+    starts[:, 1] = rng.uniform(-0.2, 0.2, p_count)
+    starts[:, -1] = rng.uniform(-0.3, 0.3, p_count)
+    cfg = SimConfig(t_horizon=1.2, n_steps=120, seed=327)
+    calls = _spy_refinement(monkeypatch)
+    batch = sample_exits(m, starts, d, cfg, p_count)
+    assert any((c[1] == REFINE_RESUME).any() for c in calls)
+    assert batch.exited.any() and (batch.status == STATUS_HORIZON).any()
+    ref = sample_exits(stepped, starts, d, cfg, p_count)
+    for f in ("tau", "points", "status", "phi_residual"):
+        assert getattr(batch, f).tobytes() == getattr(ref, f).tobytes(), f
 
 
 @pytest.mark.parametrize("chunk", [0, -1, 2.5, 4.0, "16", None])
