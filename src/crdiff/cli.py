@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import os
 import sys
@@ -170,22 +171,8 @@ def parse_config(argv) -> RunConfig:
     errors, or invalid values; flag values override file values.
     """
     argv = list(argv)
-    parser = argparse.ArgumentParser(
-        prog="crdiff",
-        description="simulate sub-Laplacian diffusions on CR model charts",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # only the invoked command's parser is ever used; every command is
-    # added when there is none, so --help and a misspelt one list them all
-    invoked = [cmd for cmd in argv[:1] if cmd in COMMANDS]
-    for cmd in invoked or COMMANDS:
-        p = sub.add_parser(cmd)
-        if cmd not in invoked:
-            continue
-        p.add_argument("--config", default=None, help="INI file with a [run] section")
-        for key, (typ, _default) in _SCHEMAS[cmd].items():
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, default=None)
-    ns = parser.parse_args(argv)
+    invoked = argv[0] if argv[:1] and argv[0] in COMMANDS else None
+    ns = _parser(invoked).parse_args(argv)
     command = ns.command
     schema = _SCHEMAS[command]
     params = {k: d for k, (t, d) in schema.items()}
@@ -212,6 +199,31 @@ def parse_config(argv) -> RunConfig:
     return RunConfig(command=command, params=params)
 
 
+@functools.cache
+def _parser(invoked: str | None) -> argparse.ArgumentParser:
+    """The parser for a command line whose command is ``invoked``.
+
+    Built once per command and process, then reused (at most
+    len(COMMANDS) + 1 parsers): parsing leaves a parser unchanged.  Only
+    the invoked command's parser is ever used, so it is the only one with
+    flags; None (no command, or a misspelt one) gets every command, so
+    --help and the error list them all.
+    """
+    parser = argparse.ArgumentParser(
+        prog="crdiff",
+        description="simulate sub-Laplacian diffusions on CR model charts",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for cmd in (invoked,) if invoked else COMMANDS:
+        p = sub.add_parser(cmd)
+        if cmd != invoked:
+            continue
+        p.add_argument("--config", default=None, help="INI file with a [run] section")
+        for key, (typ, _default) in _SCHEMAS[cmd].items():
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, default=None)
+    return parser
+
+
 def _validate(command: str, params: dict) -> None:
     pos = {"n": 1, "paths": 1, "steps": 0, "points": 1, "grid_points": 2,
            "max_order": 1, "workers": 1, "record_stride": 1}
@@ -230,6 +242,9 @@ def _validate(command: str, params: dict) -> None:
         raise ConfigError("key 'delta_band' must be positive and finite")
     if "horizon_threshold" in params and not 0 <= params["horizon_threshold"] <= 1:
         raise ConfigError("key 'horizon_threshold' must lie in [0, 1]")
+    # the half-width of the probe box; 0 puts every probe point at the origin
+    if "scale" in params and not 0 <= params["scale"] < np.inf:
+        raise ConfigError("key 'scale' must be finite and >= 0")
     if "kappa" in params and not np.isfinite(params["kappa"]):
         raise ConfigError("key 'kappa' must be finite")
     if "format" in params and params["format"] not in ("csv", "pretty-text"):

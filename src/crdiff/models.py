@@ -15,6 +15,8 @@ conjugate, 1 <= a <= n.  Christoffel data is a complex array of shape
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -49,6 +51,10 @@ FRAME_ACTION_RTOL = 1e-12
 # 1 us plus its columns (2-CPU Xeon host, numpy 2.4), so the two cross
 # between 256 and 512 columns at 16 steps
 _CUMSUM_COLUMNS = 256
+# descriptors kept per built-in constructor (heisenberg_model,
+# phase_rotated_heisenberg), least recently used evicted first: a kappa
+# sweep in a long-lived process holds at most this many
+MODEL_CACHE_SIZE = 32
 
 
 def fd_stencil(x: np.ndarray) -> np.ndarray:
@@ -114,7 +120,9 @@ class ModelDescriptor:
 
     All callables accept points of shape (..., 2n+1) and broadcast over
     leading axes.  They must be pure functions: descriptors are shared
-    freely across worker threads.
+    freely across worker threads, and the built-in constructors
+    heisenberg_model and phase_rotated_heisenberg return one shared
+    descriptor for equal arguments.
 
     frame(x)           -> (..., D, n) complex, column a holds Z_{a+1}
     char_field(x)      -> (..., D) real, the transverse field with theta = 1
@@ -355,6 +363,40 @@ class ModelDescriptor:
             raise ChartBoundsError(f"point outside chart of model '{self.name}'")
 
 
+def _shared(build):
+    """``build`` returning one shared descriptor per distinct argument list.
+
+    Arguments are told apart by type and sign as well as value, so kappa
+    1 and 1.0, or 0.0 and -0.0, give different descriptors, each with its
+    own name; positional and keyword forms of one call are the same call.
+    An unhashable argument builds a fresh descriptor.  The
+    MODEL_CACHE_SIZE most recently used descriptors are kept
+    (``cache_info`` reports them), so a process repeating a call runs the
+    construction probes on its first call only.
+    A descriptor is frozen, and dataclasses.replace makes a new one, so no
+    caller can change what another is handed.
+    """
+    signature = inspect.signature(build)
+
+    @functools.lru_cache(maxsize=MODEL_CACHE_SIZE)
+    def cached(key):
+        return build(*(arg for _type, arg, _sign in key))
+
+    @functools.wraps(build)
+    def shared(*args, **kwargs):
+        args = signature.bind(*args, **kwargs).args
+        try:
+            key = tuple((type(a), a, math.copysign(1.0, a)) for a in args)
+            hash(key)
+        except TypeError:
+            return build(*args)
+        return cached(key)
+
+    shared.cache_info = cached.cache_info
+    return shared
+
+
+@_shared
 def heisenberg_model(n: int) -> ModelDescriptor:
     """The (2n+1)-dimensional Heisenberg group on its global chart.
 
@@ -370,6 +412,8 @@ def heisenberg_model(n: int) -> ModelDescriptor:
     prefix sums over the step axis, which the frame action carries as
     its flat_chunk: u and v sum Re w and Im w, and t sums the increments
     2 sum(v Re w - u Im w) at the pre-step u and v.
+
+    Equal arguments return one shared descriptor (see _shared).
     """
     if n <= 0:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -602,6 +646,7 @@ def _gauge_fields(base: ModelDescriptor, lam, dlam) -> dict:
     )
 
 
+@_shared
 def phase_rotated_heisenberg(n: int, kappa: float) -> ModelDescriptor:
     """Heisenberg model rewritten in the frame exp(i kappa t) Z_a.
 
@@ -618,6 +663,9 @@ def phase_rotated_heisenberg(n: int, kappa: float) -> ModelDescriptor:
     the scalar shape (..., 1, 1) with no identity matrix.  frame,
     christoffel and frame_jacobian are gauge_rotated_model's, from lam
     and dlam with the complex exp.  kappa must be finite.
+
+    Equal arguments return one shared descriptor (see _shared), and its
+    base is the shared heisenberg_model(n).
     """
     if not np.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa!r}")

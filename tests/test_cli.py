@@ -1,5 +1,6 @@
 """Command-line interface: config resolution, outputs, determinism."""
 
+import argparse
 import dataclasses
 import os
 
@@ -46,6 +47,64 @@ def test_unknown_command_lists_every_command(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert all(cmd in err for cmd in cli.COMMANDS)
+
+
+def test_cached_parser_forgets_earlier_flags(tmp_path):
+    """A command's parser is built once; a flag or config file given to one
+    call does not reach the next call of that command."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[run]\ncommand = simulate\npaths = 11\n")
+    first = parse_config(["simulate", "--seed", "9", "--config", str(cfg_file)])
+    assert (first.params["seed"], first.params["paths"]) == (9, 11)
+    again = parse_config(["simulate", "--steps", "7"])
+    assert cli._parser("simulate") is cli._parser("simulate")
+    assert again.params == {**parse_config(["simulate"]).params, "steps": 7}
+    assert (again.params["seed"], again.params["paths"]) == (0, 1000)
+
+
+def test_parser_built_once_per_command(monkeypatch):
+    """After its first call, a command's later calls add no argument."""
+    parse_config(["check-model"])
+    calls = []
+    add = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    assert parse_config("check-model --points 3".split()).params["points"] == 3
+    assert calls == []
+
+
+def test_cached_parser_survives_a_rejected_call(capsys):
+    """A call refused with exit 2 leaves the command's parser usable."""
+    with pytest.raises(SystemExit) as exc:
+        parse_config("simulate --steps x".split())     # argparse's type check
+    assert exc.value.code == 2
+    assert main("simulate --steps -5".split()) == 2     # _validate's range check
+    assert "key 'steps'" in capsys.readouterr().err
+    cfg = parse_config("simulate --steps 12 --seed 3".split())
+    assert (cfg.params["steps"], cfg.params["seed"]) == (12, 3)
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["check-modle"], 2)])
+def test_every_command_listed_after_one_is_cached(argv, code, capsys):
+    """Caching one command's parser does not narrow the all-commands one."""
+    parse_config(["check-model"])
+    with pytest.raises(SystemExit) as exc:
+        parse_config(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert all(cmd in captured.out + captured.err for cmd in cli.COMMANDS)
+
+
+def test_zero_scale_probes_the_origin(tmp_path):
+    out = tmp_path / "rank.csv"
+    assert main(f"check-hormander --scale 0 --points 3 --output {out}".split()) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if not line.startswith("#")][1:]
+    assert [r[:3] for r in rows] == [["0", "0", "0"]] * 3
 
 
 def test_flag_of_another_command_rejected(capsys):
@@ -96,6 +155,10 @@ def test_negative_steps_rejected_with_key_name(capsys):
     ("simulate --seed 18446744073709551616", "seed"),
     ("dirichlet --domain koranyi:inf", "domain"),
     ("dirichlet --domain koranyi:nan", "domain"),
+    ("check-model --scale nan", "scale"),
+    ("check-hormander --scale -1", "scale"),
+    ("check-hormander --scale inf", "scale"),
+    ("check-model --scale=-inf", "scale"),
     # refused by SimConfig, after the model is built
     ("simulate --paths 2 --steps 4 --reunitarize-every=-1", "reunitarize_every"),
     ("simulate --paths 2 --steps 4 --record-stride 3", "record_stride"),

@@ -1,6 +1,8 @@
 """Model data contract: frames, contact form, Christoffel symbols, validator."""
 
+import contextlib
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import crdiff.cli as cli
 from crdiff import (
     SimConfig,
     gauge_rotated_model,
@@ -19,6 +22,7 @@ from crdiff import (
 )
 from crdiff.models import (
     FD_STEP,
+    MODEL_CACHE_SIZE,
     ModelDescriptor,
     central_difference,
     conjugate_index,
@@ -459,3 +463,75 @@ def test_validate_model_differentiates_theta_once(gauge1):
     rep = validate_model(dataclasses.replace(gauge1, theta=theta), POINTS)
     assert rep.passed
     assert calls == [(10, 3), (10, 6, 3)]
+
+
+def test_equal_arguments_share_one_descriptor():
+    """The built-in constructors hand out one descriptor per argument list,
+    positional or keyword, and the phase model's base is the shared one."""
+    assert heisenberg_model(2) is heisenberg_model(n=2)
+    m = phase_rotated_heisenberg(2, 0.9)
+    assert m is phase_rotated_heisenberg(n=2, kappa=0.9)
+    assert phase_rotated_heisenberg(1, 0.9) is not m
+    assert phase_rotated_heisenberg(1, 0.9).n == 1
+
+
+@pytest.mark.parametrize("a, b", [(1, 1.0), (0.0, -0.0)])
+def test_kappas_of_another_type_or_sign_are_other_models(a, b):
+    """kappa 1 and 1.0, or 0.0 and -0.0, are told apart, each with its own
+    name (a cache keyed on value and type would merge 0.0 and -0.0)."""
+    ma, mb = phase_rotated_heisenberg(1, a), phase_rotated_heisenberg(1, b)
+    assert ma is not mb
+    assert (ma.name, mb.name) == (f"heisenberg_phase(n=1, kappa={a})",
+                                  f"heisenberg_phase(n=1, kappa={b})")
+    assert phase_rotated_heisenberg(1, b) is mb
+
+
+def test_descriptor_cache_is_bounded():
+    """A kappa sweep keeps at most MODEL_CACHE_SIZE descriptors; the least
+    recently used is rebuilt, equal to but not the evicted one."""
+    first = phase_rotated_heisenberg(1, 0.125)
+    for k in range(MODEL_CACHE_SIZE):
+        phase_rotated_heisenberg(1, 1.0 + k / 8)
+    info = phase_rotated_heisenberg.cache_info()
+    assert info.maxsize == info.currsize == MODEL_CACHE_SIZE
+    again = phase_rotated_heisenberg(1, 0.125)
+    assert again is not first and again.name == first.name
+
+
+def test_replace_leaves_the_shared_descriptor_alone():
+    m = phase_rotated_heisenberg(2, 0.9)
+    action = m.frame_action
+    r = dataclasses.replace(m, name="renamed", frame_action=None)
+    assert (r.name, r.frame_action) == ("renamed", None)
+    assert phase_rotated_heisenberg(2, 0.9) is m
+    assert (m.name, m.frame_action) == ("heisenberg_phase(n=2, kappa=0.9)", action)
+
+
+def test_repeated_diagnostics_build_no_descriptor(tmp_path, monkeypatch):
+    """The three CLI calls of one diagnostics task, repeated in the same
+    process, run no construction probe: the phase model and its base are
+    built on the first round only."""
+    model = "--model heisenberg_phase --n 2 --kappa 0.9"
+    argvs = [
+        f"check-hormander {model} --max-order 3 --points 20 --seed 5 "
+        f"--output {tmp_path / 'h.csv'}",
+        f"check-model {model} --points 20 --seed 6 --output {tmp_path / 'm.csv'}",
+        f"check-smoothness {model} --form dt --max-order 3 "
+        f"--output {tmp_path / 's.csv'}",
+    ]
+    probes = []
+    post_init = ModelDescriptor.__post_init__
+
+    def counting(self):
+        probes.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(ModelDescriptor, "__post_init__", counting)
+    rounds = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        for _ in range(2):
+            probes.clear()
+            assert [cli.main(argv.split()) for argv in argvs] == [0, 0, 0]
+            rounds.append(list(probes))
+    assert set(rounds[0]) <= {"heisenberg(n=2)", "heisenberg_phase(n=2, kappa=0.9)"}
+    assert rounds[1] == []
