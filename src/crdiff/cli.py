@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Configuration comes from an INI-style file ([run] section, key = value)
-and/or flags, flags winning.  Unknown keys are rejected by name.  Every
-output file starts with comment lines carrying the tool version, a hash
-of the effective configuration, and the seed; identical configurations
-produce byte-identical outputs for any worker count.
+and/or flags, flags winning.  Each command takes only the keys it reads;
+any other key is rejected by name.  Every output file starts with comment
+lines carrying the tool version, a hash of the effective configuration,
+and the seed; identical configurations produce byte-identical outputs for
+any worker count.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -51,63 +52,62 @@ COMMANDS = (
     "dirichlet",
 )
 
-# key -> (type, default); None defaults mean "required by the command"
+# key -> (type, default); a command's schema holds exactly the keys its
+# runner reads
 _MODEL_KEYS = {"model": (str, "heisenberg"), "n": (int, 1), "kappa": (float, 0.5)}
-_SIM_KEYS = {
+# every command that steps paths from a start point
+_PATH_KEYS = {
     "t_horizon": (float, 1.0),
     "steps": (int, 1000),
     "seed": (int, 0),
     "paths": (int, 1000),
-    "cap": (float, 1e6),
-    "reunitarize_every": (int, 1),
-    "record_stride": (int, 1),
+    "start": (str, "origin"),
+    "output": (str, ""),
+    "workers": (int, 1),
 }
-_IO_KEYS = {"output": (str, ""), "workers": (int, 1), "format": (str, "csv")}
+# ensembles freeze a path at the coordinate cap; exit paths stop at the domain
+_ENSEMBLE_KEYS = {**_PATH_KEYS, "cap": (float, 1e6)}
 
 _SCHEMAS: dict[str, dict] = {
-    "simulate": {**_MODEL_KEYS, **_SIM_KEYS, **_IO_KEYS, "start": (str, "origin")},
+    "simulate": {**_MODEL_KEYS, **_ENSEMBLE_KEYS, "record_stride": (int, 1)},
     "density": {
-        **_MODEL_KEYS, **_SIM_KEYS, **_IO_KEYS,
-        "start": (str, "origin"),
+        **_MODEL_KEYS, **_ENSEMBLE_KEYS,
         "window": (str, "auto"),
         "grid_points": (int, 21),
         "bandwidth": (str, "scott"),
     },
-    "line-integral": {
-        **_MODEL_KEYS, **_SIM_KEYS, **_IO_KEYS,
-        "start": (str, "origin"),
-        "form": (str, "theta"),
-    },
+    "line-integral": {**_MODEL_KEYS, **_ENSEMBLE_KEYS, "form": (str, "theta")},
     "charfn": {
-        **_MODEL_KEYS, **_SIM_KEYS, **_IO_KEYS,
-        "start": (str, "origin"),
+        **_MODEL_KEYS, **_ENSEMBLE_KEYS,
         "observable": (str, "tau"),
         "lambdas": (str, "0.5,1,2"),
     },
     "check-model": {
-        **_MODEL_KEYS, **_IO_KEYS,
+        **_MODEL_KEYS,
+        "output": (str, ""),
         "points": (int, 20),
         "seed": (int, 0),
         "scale": (float, 1.0),
     },
     "check-hormander": {
-        **_MODEL_KEYS, **_IO_KEYS,
+        **_MODEL_KEYS,
+        "output": (str, ""),
         "points": (int, 20),
         "seed": (int, 0),
         "scale": (float, 1.0),
         "max_order": (int, 2),
     },
     "check-smoothness": {
-        **_MODEL_KEYS, **_IO_KEYS,
+        **_MODEL_KEYS,
+        "output": (str, ""),
         "form": (str, "du1"),
         "point": (str, "origin"),
         "max_order": (int, 2),
     },
     "dirichlet": {
-        **_MODEL_KEYS, **_SIM_KEYS, **_IO_KEYS,
+        **_MODEL_KEYS, **_PATH_KEYS,
         "domain": (str, "koranyi:1.0"),
         "data": (str, "u1"),
-        "start": (str, "origin"),
         "horizon_threshold": (float, 0.01),
         "delta_band": (float, 1e-4),
         "records": (str, ""),
@@ -247,8 +247,6 @@ def _validate(command: str, params: dict) -> None:
         raise ConfigError("key 'scale' must be finite and >= 0")
     if "kappa" in params and not np.isfinite(params["kappa"]):
         raise ConfigError("key 'kappa' must be finite")
-    if "format" in params and params["format"] not in ("csv", "pretty-text"):
-        raise ConfigError("key 'format' must be csv or pretty-text")
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +287,19 @@ def _point(params, key: str, dim: int) -> np.ndarray:
     return np.zeros(dim) if raw == "origin" else _floats(key, raw, dim)
 
 
-# the config key of a SimConfig field named otherwise; SimConfig's
-# messages start with the field at fault
-_FIELD_KEYS = {"n_steps": "steps", "coordinate_cap": "cap"}
+# SimConfig field -> config key.  A command passes the fields whose key
+# its schema holds; SimConfig's defaults fill the rest, and its messages
+# start with the field at fault.
+_SIM_FIELDS = {"t_horizon": "t_horizon", "n_steps": "steps", "seed": "seed",
+               "record_stride": "record_stride", "coordinate_cap": "cap"}
 
 
 def _sim_config(params) -> SimConfig:
     try:
-        return SimConfig(
-            t_horizon=params["t_horizon"],
-            n_steps=params["steps"],
-            seed=params["seed"],
-            reunitarize_every=params["reunitarize_every"],
-            record_stride=params["record_stride"],
-            coordinate_cap=params["cap"],
-        )
+        return SimConfig(**{f: params[k] for f, k in _SIM_FIELDS.items() if k in params})
     except ValueError as exc:
         field = str(exc).split(" ", 1)[0]
-        key = _FIELD_KEYS.get(field, field)
+        key = _SIM_FIELDS.get(field, field)
         raise ConfigError(f"key '{key}': {exc}") from exc
 
 
@@ -520,7 +513,7 @@ def _cmd_check_model(cfg: RunConfig) -> int:
     m = _model(p)
     rep = validate_model(m, _probe_points(p, m.dim))
     print(rep.as_text())
-    if p["format"] == "csv" and p.get("output"):
+    if p.get("output"):
         checks = rep.checks
         _write_csv(p["output"], cfg, ["check", "residual", "tol", "passed"],
                    [[c.name for c in checks], [c.residual for c in checks],
@@ -559,7 +552,7 @@ def _cmd_check_smoothness(cfg: RunConfig) -> int:
     else:
         print(f"check-smoothness[{form.name}]: not satisfied up to order "
               f"{p['max_order']}")
-    if p["format"] == "csv" and p.get("output"):
+    if p.get("output"):
         _write_csv(p["output"], cfg, ["form", "satisfied", "witness", "abs_phi"],
                    [[form.name], [ok],
                     [",".join(index_label(a) for a in witness or ())], [abs(value)]])
@@ -584,8 +577,10 @@ def _cmd_dirichlet(cfg: RunConfig) -> int:
         try:
             c = float(data_raw.split(":", 1)[1])
         except ValueError:
-            msg = f"key 'data' needs a number after 'const:', got {data_raw!r}"
-            raise ConfigError(msg) from None
+            c = np.nan
+        if not np.isfinite(c):
+            msg = f"key 'data' needs a finite number after 'const:', got {data_raw!r}"
+            raise ConfigError(msg)
         f = lambda x: np.full(x.shape[:-1], c)
     elif data_raw in names:
         idx = names.index(data_raw)

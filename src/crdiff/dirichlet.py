@@ -171,7 +171,6 @@ def _refine_events(
     steps: np.ndarray,
     delta_band: float,
     max_levels: int,
-    reunitarize: bool,
 ):
     """Depth-first localization of the first boundary crossing in a step.
 
@@ -238,8 +237,7 @@ def _refine_events(
     # capped at max_levels and pops never exceed pushes: <= 2 max_levels + 1 rounds
     while not done.all():
         act = np.flatnonzero(~done)
-        x_end, e_end, _ = _heun(m, cur_x[act], _take(cur_e, act), cur_db[act],
-                                reunitarize)
+        x_end, e_end, _ = _heun(m, cur_x[act], _take(cur_e, act), cur_db[act])
         phi_end = d.phi_at(x_end)
         bad = ~np.isfinite(phi_end)
         if bad.any():
@@ -283,7 +281,7 @@ def _refine_events(
                 zt[live, top:] = band.reshape(live.size, width, 2 * n)
             zeta = _scaled_increments(zt[idx, level[idx]], np.sqrt(h[idx] / 8.0))
             db1 = 0.5 * cur_db[idx] + zeta
-            x_mid, e_mid, _ = _heun(m, cur_x[idx], _take(cur_e, idx), db1, reunitarize)
+            x_mid, e_mid, _ = _heun(m, cur_x[idx], _take(cur_e, idx), db1)
             phi_mid = d.phi_at(x_mid)
             lost = ~np.isfinite(phi_mid)
             if lost.any():
@@ -457,7 +455,6 @@ def _exit_block(
     status = np.full(p_count, STATUS_HORIZON, dtype=np.uint8)
     points = x.copy()
     resid = d.phi_at(x)
-    reunit_every = cfg.reunitarize_every
     scale = np.sqrt(dt / 2.0)
     key = _refine_key(cfg.seed)
 
@@ -523,8 +520,7 @@ def _exit_block(
             else:
                 xs, es = [xl], [el]
                 for j in range(kc):
-                    reunit = bool(reunit_every) and (k + j + 1) % reunit_every == 0
-                    x_new, e_new, _ = _heun(m, xs[-1], es[-1], db[j], reunit)
+                    x_new, e_new, _ = _heun(m, xs[-1], es[-1], db[j])
                     xs.append(x_new)
                     es.append(e_new)
                 xs = np.stack(xs)
@@ -574,7 +570,7 @@ def _exit_block(
                 np.concatenate([c[2] for c in crossings]), e_pre,
                 np.concatenate([c[4] for c in crossings]), dt,
                 key, idx + path_offset, steps,
-                delta_band, max_levels, bool(reunit_every),
+                delta_band, max_levels,
             )
             settled = kind != REFINE_RESUME
             st = idx[settled]
@@ -619,7 +615,9 @@ def sample_exits(
     lies within delta_band (positive and finite) of the boundary.  The
     refinement counter holds the crossing step in 32 bits and the split
     level in 8, so n_steps <= 2**32 and 0 <= MAX_REFINE_LEVELS <= 2**8.
-    CHUNK must be an integer >= 1.
+    CHUNK must be an integer >= 1.  Of cfg, exits read t_horizon,
+    n_steps and seed only: a path is stopped by the domain, not by
+    coordinate_cap, and records nothing, so record_stride is unused.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -741,10 +739,7 @@ def regularity_probe(
     if abs(float(d.phi_at(xb))) > delta_band:
         raise ValueError("probe point is not within the boundary collar")
     t_probes = np.atleast_1d(np.asarray(t_probes, dtype=float))
-    cfg = SimConfig(
-        t_horizon=float(t_probes.max()), n_steps=n_steps, seed=seed,
-        reunitarize_every=1, coordinate_cap=1e6,
-    )
+    cfg = SimConfig(t_horizon=float(t_probes.max()), n_steps=n_steps, seed=seed)
     batch = sample_exits(
         m, xb, d, cfg, n_paths, n_workers=n_workers, delta_band=delta_band
     )

@@ -6,7 +6,7 @@ frame vector: the matrix maps C^n coordinates to coefficients in the
 model frame {Z_b}.  The frame is carried by parallel transport, which
 the Heun kernel (sde._heun) integrates through velocity_arrays; the
 continuous theory keeps e unitary exactly, and the integrator enforces
-this by periodic projection onto the unitary polar factor.
+this by projecting onto the unitary polar factor at every step.
 """
 
 from __future__ import annotations

@@ -288,8 +288,9 @@ def estimate_density(
     The estimate is taken with respect to the canonical volume (kernel
     density against Lebesgue measure divided by the model's volume
     density at each grid node).  Requires at least 100 completed paths, a
-    finite window with lo < hi on every axis, and at least one sample
-    inside it.
+    finite window with lo < hi on every axis, at least one sample inside
+    it, and grid_points of at least 2 nodes per axis: one int for every
+    axis, or one per axis.
 
     The product kernel on a tensor grid is separable: one (G_d, M) factor
     of one-axis Gaussians per axis, contracted with outer products over
@@ -312,8 +313,10 @@ def estimate_density(
     inside = np.all((samples >= window[:, 0]) & (samples <= window[:, 1]), axis=1)
     if not inside.any():
         raise ValueError("empty window: no completed samples inside")
-    if isinstance(grid_points, int):
+    if isinstance(grid_points, (int, np.integer)):
         grid_points = (grid_points,) * dim
+    if len(grid_points) != dim or min(grid_points) < 2:
+        raise ValueError(f"grid_points needs {dim} entries >= 2, got {grid_points!r}")
     axes = [np.linspace(window[d, 0], window[d, 1], grid_points[d]) for d in range(dim)]
     bw = _bandwidth(samples, bandwidth)
     raw = _grid_kde(samples, axes, bw)

@@ -74,18 +74,15 @@ class SimConfig:
     exceeds it is frozen and flagged capped rather than dropped.  A path
     whose state turns NaN or infinite is frozen and flagged nonfinite.
     seed lies in [0, 2**64); np.random.SeedSequence refuses a negative one.
-    reunitarize_every = 0 disables frame reprojection.  Known defect: with
-    it, or with a long period, a frame of a non-flat model can leave U(n)
-    with no flag, and its path is still reported as completed.  On
-    heisenberg_phase n = 2, kappa = 0.9, 100 steps over t = 1 without
-    projection, Var(u1) over 2 000 paths read 121 901 against the exact
-    0.5.
+    record_stride is read only by the recording simulators (simulate_path,
+    and simulate_ensemble with record=True); exit sampling reads neither
+    it nor coordinate_cap.  There is no projection setting: every step of
+    a non-flat model projects its frames back onto U(n).
     """
 
     t_horizon: float
     n_steps: int
     seed: int
-    reunitarize_every: int = 1
     record_stride: int = 1
     coordinate_cap: float = 1e6
 
@@ -96,8 +93,6 @@ class SimConfig:
             raise ValueError("n_steps must be nonnegative")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must lie in [0, 2**64)")
-        if self.reunitarize_every < 0:
-            raise ValueError("reunitarize_every must be >= 0")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if self.n_steps and self.n_steps % self.record_stride:
@@ -244,11 +239,13 @@ def driving_increments(cfg: SimConfig, n_paths: int, n: int) -> np.ndarray:
     return out
 
 
-def _heun(m: ModelDescriptor, x, e, db, reunitarize: bool):
+def _heun(m: ModelDescriptor, x, e, db):
     """Heun predictor-corrector step of a batch; rows are independent.
 
     Returns (x_new, e_new, dx1), dx1 the base velocity at the pre-step
-    state (the line-integral observer's pre-step term).  On a flat
+    state (the line-integral observer's pre-step term).  On a non-flat
+    connection the Heun update of the frame leaves U(n), and every step
+    takes its unitary polar factor (_polar_batch).  On a flat
     connection parallel transport is the identity: the frame is returned
     as it came (the same array) and no polar factor is taken; e may then
     be None, which stands for the identity frame (w = db).  The horizontal
@@ -263,9 +260,7 @@ def _heun(m: ModelDescriptor, x, e, db, reunitarize: bool):
     x_new, e_new = x + dx1, e + de1
     dx2, de2 = velocity_arrays(m, x_new, e_new, db)
     x_new = _average(x, dx1, dx2, x_new)
-    e_new = _average(e, de1, de2, e_new)
-    if reunitarize:
-        e_new = _polar_batch(e_new)
+    e_new = _polar_batch(_average(e, de1, de2, e_new))
     return x_new, e_new, dx1
 
 
@@ -282,16 +277,16 @@ def _average(y, dy1, dy2, out):
     return out
 
 
-def step(m: ModelDescriptor, s: FrameState, db: np.ndarray,
-         reunitarize: bool = True) -> FrameState:
+def step(m: ModelDescriptor, s: FrameState, db: np.ndarray) -> FrameState:
     """One Heun predictor-corrector step of the bundle SDE.
 
     The scheme is driven entirely by the increment (the equation has no
-    drift term).  On a model with a flat connection the new state holds a
-    copy of the frame.
+    drift term).  On a non-flat model the new frame is projected onto
+    U(n); on a model with a flat connection the new state holds a copy of
+    the frame.
     """
     db = np.asarray(db, dtype=complex)
-    x, e, _ = _heun(m, s.x, s.e, db, reunitarize)
+    x, e, _ = _heun(m, s.x, s.e, db)
     return FrameState(x, e.copy() if e is s.e else e)
 
 
@@ -351,7 +346,6 @@ def _run_block(
     steps_taken = np.zeros(p_count, dtype=np.int64)
     active = np.ones(p_count, dtype=bool)
     cap = cfg.coordinate_cap
-    reunit = cfg.reunitarize_every
     inc_list: list[np.ndarray] = []
 
     rec = None
@@ -372,10 +366,7 @@ def _run_block(
         db = draw_fn(k, active)
         if collect_increments:
             inc_list.append(db.copy())
-        x_new, e_new, dx0 = _heun(
-            m, x, None if frameless else e, db,
-            bool(reunit) and (k + 1) % reunit == 0,
-        )
+        x_new, e_new, dx0 = _heun(m, x, None if frameless else e, db)
         if frameless:
             e_new = e
         # a whole-batch test first, which NaN fails too; rows only when it

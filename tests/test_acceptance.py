@@ -120,7 +120,7 @@ def test_criterion_03_frame_rotation_invariance(heis2, gauge1):
 
 
 def test_criterion_04_unitarity(gauge1):
-    cfg = SimConfig(t_horizon=1.0, n_steps=1000, seed=986305, reunitarize_every=1)
+    cfg = SimConfig(t_horizon=1.0, n_steps=1000, seed=986305)
     ens = simulate_ensemble(
         gauge1, ORIGIN1, cfg, 1000,
         observer_factories={"defect": UnitarityObserver},

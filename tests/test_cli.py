@@ -129,6 +129,8 @@ def test_negative_steps_rejected_with_key_name(capsys):
     ("dirichlet --domain koranyi:abc", "domain"),
     ("dirichlet --domain koranyi:-1", "domain"),
     ("dirichlet --data const:x", "data"),
+    ("dirichlet --data const:nan", "data"),
+    ("dirichlet --data const:inf", "data"),
     ("check-smoothness --point 1,2", "point"),
     ("simulate --start nan,0,0", "start"),
     ("simulate --start 0,-inf,0", "start"),
@@ -160,12 +162,7 @@ def test_negative_steps_rejected_with_key_name(capsys):
     ("check-hormander --scale inf", "scale"),
     ("check-model --scale=-inf", "scale"),
     # refused by SimConfig, after the model is built
-    ("simulate --paths 2 --steps 4 --reunitarize-every=-1", "reunitarize_every"),
     ("simulate --paths 2 --steps 4 --record-stride 3", "record_stride"),
-    ("density --steps 4 --reunitarize-every=-2", "reunitarize_every"),
-    ("line-integral --steps 4 --record-stride 3", "record_stride"),
-    ("charfn --steps 4 --reunitarize-every=-1", "reunitarize_every"),
-    ("dirichlet --steps 4 --record-stride 3", "record_stride"),
 ])
 def test_malformed_value_is_config_error(argv, key, tmp_path, capsys, monkeypatch):
     """A malformed value exits 2 naming its key, before any path is run."""
@@ -177,6 +174,87 @@ def test_malformed_value_is_config_error(argv, key, tmp_path, capsys, monkeypatc
     code = main(argv.split() + ["--output", str(tmp_path / "out.csv")])
     assert code == 2
     assert f"key '{key}'" in capsys.readouterr().err
+
+
+class _RecordingParams(dict):
+    """A params dict that records the keys read through [] and get."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# tiny runs; heisenberg_phase so that kappa is read
+EVERY_KEY_ARGVS = {
+    "simulate": "--paths 4 --steps 2",
+    "density": "--paths 100 --steps 2 --grid-points 3",
+    "line-integral": "--paths 4 --steps 2",
+    "charfn": "--paths 100 --steps 2",
+    "check-model": "--points 2",
+    "check-hormander": "--points 2 --max-order 1",
+    "check-smoothness": "--max-order 1",
+    "dirichlet": "--domain koranyi:0.5 --paths 8 --steps 100 --t-horizon 2",
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_key_is_read(command, tmp_path, capsys):
+    """A command's schema holds only keys its runner reads, so no key is
+    taken and then ignored."""
+    argv = [command, *EVERY_KEY_ARGVS[command].split(),
+            "--model", "heisenberg_phase", "--output", str(tmp_path / "out.csv")]
+    cfg = parse_config(argv)
+    cfg.params = _RecordingParams(cfg.params)
+    assert run(cfg) == 0
+    assert set(cli._SCHEMAS[command]) - cfg.params.read == set()
+
+
+# flags of the keys that commands no longer take, and the commands that took them
+DELETED_FLAGS = {
+    "--reunitarize-every": ("simulate", "density", "line-integral", "charfn", "dirichlet"),
+    "--format": cli.COMMANDS,
+    "--record-stride": ("density", "line-integral", "charfn", "dirichlet"),
+    "--cap": ("dirichlet",),
+    "--workers": ("check-model", "check-hormander", "check-smoothness"),
+}
+# each key's former default, a value it used to accept
+DELETED_VALUES = {"--reunitarize-every": "1", "--format": "csv",
+                  "--record-stride": "1", "--cap": "1e6", "--workers": "1"}
+
+
+@pytest.mark.parametrize("flag, command", [
+    (flag, command) for flag, commands in DELETED_FLAGS.items() for command in commands
+])
+def test_deleted_key_refused(flag, command, tmp_path, capsys):
+    """A deleted key exits 2, as a flag and as a key of a config file, even
+    at the value that was its default."""
+    value = DELETED_VALUES[flag]
+    with pytest.raises(SystemExit) as exc:
+        parse_config([command, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    key = flag[2:].replace("-", "_")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"[run]\ncommand = {command}\n{key} = {value}\n")
+    assert main([command, "--config", str(cfg_file)]) == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
+def test_kept_keys_still_accepted():
+    """simulate keeps its cap and record stride, and every command that
+    steps paths keeps its worker count."""
+    cfg = parse_config("simulate --cap 2 --record-stride 5 --steps 10".split())
+    assert (cfg.params["cap"], cfg.params["record_stride"]) == (2.0, 5)
+    for command in ("simulate", "density", "line-integral", "charfn", "dirichlet"):
+        assert parse_config([command, "--workers", "3"]).params["workers"] == 3
 
 
 def test_unknown_file_key_rejected(tmp_path, capsys):

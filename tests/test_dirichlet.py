@@ -543,7 +543,7 @@ def test_markov_consistency_nested(heis1):
 
 # --- chunked stepping ------------------------------------------------------------
 
-# model, reunitarize_every, domain variant, paths, workers
+# model, seed offset of the starts, domain variant, paths, workers
 CHUNK_CASES = [
     ("heis1", 1, None, 513, 1),
     ("heis2", 1, None, 1100, 2),
@@ -556,9 +556,9 @@ CHUNK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("model, reunit, variant, p_count, workers", CHUNK_CASES)
+@pytest.mark.parametrize("model, offset, variant, p_count, workers", CHUNK_CASES)
 def test_chunk_length_does_not_change_exits(request, nan_beyond, ninf_beyond,
-                                            monkeypatch, model, reunit, variant,
+                                            monkeypatch, model, offset, variant,
                                             p_count, workers):
     """The exit loop tests for crossings once per chunk of steps; with
     CHUNK = 1 (a test after every step), 3 and the default, the batches
@@ -571,12 +571,12 @@ def test_chunk_length_does_not_change_exits(request, nan_beyond, ninf_beyond,
         m = nan_beyond(m, 0.9)
     elif variant == "-inf":
         d = ninf_beyond(d, 0.9)
-    rng = np.random.default_rng(p_count + reunit)
+    rng = np.random.default_rng(p_count + offset)
     starts = np.zeros((p_count, m.dim))
     starts[:, 0] = rng.uniform(0.6, 0.88, p_count)
     starts[:, 1] = rng.uniform(-0.2, 0.2, p_count)
     starts[:, -1] = rng.uniform(-0.3, 0.3, p_count)
-    cfg = SimConfig(t_horizon=1.2, n_steps=120, seed=320, reunitarize_every=reunit)
+    cfg = SimConfig(t_horizon=1.2, n_steps=120, seed=320)
 
     default = dirichlet.CHUNK
     monkeypatch.setattr(dirichlet, "CHUNK", 1)
@@ -602,7 +602,7 @@ def test_chunk_length_does_not_change_exits(request, nan_beyond, ninf_beyond,
     es = [None if m.flat_connection else np.broadcast_to(np.eye(m.n, dtype=complex),
                                                          (p_count, m.n, m.n))]
     for k in range(cfg.n_steps):
-        x_new, e_new, _ = sde._heun(m, xs[-1], es[-1], inc[:, k], (k + 1) % reunit == 0)
+        x_new, e_new, _ = sde._heun(m, xs[-1], es[-1], inc[:, k])
         xs.append(x_new)
         es.append(e_new)
     xs = np.stack(xs)
@@ -681,7 +681,7 @@ def test_flat_chunk_matches_heun_steps(n):
             with np.errstate(invalid="ignore"):
                 xs = [x0]
                 for j in range(k):
-                    xs.append(sde._heun(m, xs[-1], None, w[j], False)[0])
+                    xs.append(sde._heun(m, xs[-1], None, w[j])[0])
                 got = m.flat_chunk(x0, w)
             assert got.tobytes() == np.stack(xs).tobytes(), (rows, k)
 
@@ -800,7 +800,7 @@ def test_refinement_table_matches_per_split_draws(heis1, monkeypatch):
     m, d, x_pre, e_pre, db, dt, key, paths, steps, *_ = calls[0][0]
     c = 40
     paths = paths[:c] + (2**32 - c // 2)
-    args = (m, d, x_pre[:c], e_pre, db[:c], dt, key, paths, steps[:c], 1e-10, 30, True)
+    args = (m, d, x_pre[:c], e_pre, db[:c], dt, key, paths, steps[:c], 1e-10, 30)
 
     bands = []
     zdraws = dirichlet._event_zdraws

@@ -41,6 +41,14 @@ and 5.6e-17 (ensemble).  Every exit status and time held.  The gauge
 pins, LINE_INTEGRAL_GOLDEN (du1 reads only u) and DIAGNOSTICS_GOLDEN held
 byte for byte.  A change that moves a pin changes the arithmetic or the
 noise and has to re-pin it on purpose.
+
+The thirteen CLI file pins moved once in their "# config" line alone,
+when each command came to take only the keys it reads: the deleted keys
+(the projection period, the output format, and the record stride and
+cap where no runner read them) left every config hash.  With that line removed, each file
+kept its bytes.  Projection at every step was already the default, so no
+batch, ensemble or path pin moved; the gauge records pin, taken at a
+projection period of 2 before, was re-taken at every step.
 """
 
 import hashlib
@@ -91,19 +99,19 @@ def test_cli_dirichlet_records_golden(tmp_path):
     ).split()
     assert main(argv) == 0
     assert _file_sha(est) == (
-        "8c74f5ad51355d30e4d2b125af1c0ba6ee8a5768835aa52c0374ac0bf763dabb"
+        "545b5ef85bba57a02c05564459c644a1507d7a2989ae076dc24811a4d771e845"
     )
     assert _file_sha(rec) == (
-        "e51a51ed256b682847e1ff4a7e3533b71ce4e4e450d9f2f67047538a2af12924"
+        "6b705e4548a9a90376887901fa28ebfcaab22c58eee79c741e075c81b605384d"
     )
 
 
 # 4097 paths make a second, one-path block
 LINE_INTEGRAL_GOLDEN = {
     "heisenberg --n 2":
-        "08675afb4f3d954944da7e04c9ecb2c6da776a39258cdfcbc4a87e51f355f87c",
+        "5aab7cee764c046c650d8c916e1a6e57e91810286085dcaf9501755a2fc7bbf2",
     "heisenberg_phase --n 1":
-        "de4e281f7bd2aeccf725d7dfad35bf141ae0c52fce1303a9c4cebd1fe68f928e",
+        "c2bcabd3a5cafc821a9e677ca1e844ffefe3dee5a4e5097ad6751b718369495e",
 }
 
 
@@ -130,7 +138,7 @@ def test_cli_density_golden(tmp_path):
     out = tmp_path / "density.csv"
     assert main(DENSITY_GOLDEN_ARGV.split() + ["--output", str(out)]) == 0
     assert _file_sha(out) == (
-        "e75a7e5e8c670f90f89762f5d4548a1ebe994e754162bfaf0585a7cd60c043e1"
+        "6843d4d634489d6c6c55963ff5fb416a9bbc417a0aceb65aed5d6bd01278d8c9"
     )
 
 
@@ -139,10 +147,10 @@ def test_cli_density_golden(tmp_path):
 # e{i}{j}_{re,im} order
 SIMULATE_GOLDEN = {
     "simulate --paths 3000 --steps 40 --record-stride 20 --cap 1.2 --seed 5":
-        "c80da64fc0af669e69ceae31a828adac804a1c72f13b64f7feb7dd38c9105994",
+        "2fb6b39765bc7c23bfd64c9d7e22218914458a5c902bf41596edc5a20f571861",
     "simulate --model heisenberg_phase --n 2 --kappa 0.9 --paths 30 --steps 20 "
     "--seed 3":
-        "953cbe1bc3455e75734fba6d2306a5a9548bf32ea954f3af6abeee3c55f78441",
+        "f7ddab8f15691609f9ada834bfa774baa194ad13ad0122328d183b99c80f62ed",
 }
 
 
@@ -158,7 +166,7 @@ def test_cli_charfn_golden(tmp_path):
     argv = "charfn --paths 2000 --steps 50 --seed 4"
     assert main(argv.split() + ["--output", str(out)]) == 0
     assert _file_sha(out) == (
-        "d6b066dc17565fba9a3b0649ceed7a68dee37798d98f087932043bb747cd6a36"
+        "a0214b59d1dddc1d4d28d9f20ef702711dcbe72173d3b77af88e5a9d8ad8e203"
     )
 
 
@@ -212,29 +220,22 @@ def test_exit_batch_golden_n2_svd(heis2):
     )
 
 
-# keyed by reunitarize_every
-EXIT_GAUGE_GOLDEN = {
-    1: "d7a9832b3ab32770703e830b6f50ae17211792d5d17979bbaf016979cd37f68c",
-    3: "61e8cf8745c9a6c46f6ca9c0d25a37132c6d4c644b61374094436a012cdc9c0a",
-}
-
-
-@pytest.mark.parametrize("reunit", sorted(EXIT_GAUGE_GOLDEN))
-def test_exit_batch_golden_gauge(gauge1, reunit):
-    cfg = SimConfig(t_horizon=1.0, n_steps=200, seed=6, reunitarize_every=reunit)
+def test_exit_batch_golden_gauge(gauge1):
+    cfg = SimConfig(t_horizon=1.0, n_steps=200, seed=6)
     batch = sample_exits(gauge1, np.array([0.3, 0.2, 0.4]), BALL, cfg, 300)
-    assert _batch_digest(batch) == EXIT_GAUGE_GOLDEN[reunit]
+    assert _batch_digest(batch) == (
+        "d7a9832b3ab32770703e830b6f50ae17211792d5d17979bbaf016979cd37f68c"
+    )
 
 
 def test_ensemble_golden_gauge_records(gauge1):
-    cfg = SimConfig(t_horizon=1.0, n_steps=50, seed=7, reunitarize_every=2,
-                    record_stride=5)
+    cfg = SimConfig(t_horizon=1.0, n_steps=50, seed=7, record_stride=5)
     s0 = FrameState(np.array([0.1, 0.0, 0.2]), np.eye(1))
     ens = simulate_ensemble(gauge1, s0, cfg, 300, record=True)
     r = ens.records
     assert _digest(ens.x, ens.e, ens.status, ens.steps_taken,
                    r.times, r.x, r.e, r.valid) == (
-        "0f1f4f0b432761684d7a56cf2858bc1c1894cbd37e03fc1596164316714f601f"
+        "94b1080a6c50cf45bce3f189a8e66a95bd8fede115f85f4c8377c1a3b2f97acb"
     )
 
 
@@ -265,17 +266,17 @@ def test_single_path_golden_n2(heis2):
 DIAGNOSTICS_GOLDEN = {
     "check-hormander --model heisenberg_phase --n 2 --kappa 0.9 --max-order 3 "
     "--points 20 --seed 17":
-        "47afbae5f918a4a131817416e5acf3fd9c920e96ba3836f66ab38b50d1ab9288",
+        "6776fcf0c41e928dd9310d7345d512c73165c91818342cb6ef1d3fd08127219b",
     "check-hormander --model heisenberg_phase --n 1 --kappa 0.9 --max-order 3 "
     "--points 20 --seed 19":
-        "a6299fbe7d329945a5485d755337aae913295a6fceb0b5cebbc856a04be9b8f8",
+        "b8c8bc8ee9b4e5b332bb42077435fa4d4c9022e9f4baaa286838af45eb5cc443",
     "check-hormander --model heisenberg --n 2 --max-order 2 --points 20 --seed 23":
-        "979054c33213df849af98ce4d8bb55c5f6de18b08517f56f0aaa84db7c37e3d9",
+        "b4474c3f6c7a276fb765e1319f2c47d7a2f028436a00a50df89eedca502fd5f2",
     "check-model --model heisenberg_phase --n 2 --kappa 0.9 --points 20 --seed 18":
-        "dd4a25fcb73003fe027e79a78aaae9b32b8643aac29d9f5cccf40ef87b881134",
+        "d3be4a05c68258f5399c5a2b050f9bbffd6abd963c7b8d418a51f195101bdfaa",
     "check-smoothness --model heisenberg_phase --n 2 --kappa 0.9 --form dt "
     "--max-order 3":
-        "5374bcf9b46a3c23560d085db7673f84cb25803b85ef122a5ea248dec497945f",
+        "db1d144b38bfddc4ef16874bde4a0fc080b4624555438f41f2206e7e13aed8d7",
 }
 
 

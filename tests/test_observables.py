@@ -520,6 +520,22 @@ def test_density_window_needs_finite_increasing_bounds(heis1, terminal_ensemble,
         estimate_density(terminal_ensemble, heis1, window)
 
 
+@pytest.mark.parametrize("grid_points", [(5, 5, 1), (5, 5), (5, 5, 5, 5), 1])
+def test_density_grid_points_checked(heis1, terminal_ensemble, grid_points):
+    """One axis of one node gave a zero normalization, too few entries an
+    IndexError, and a spare entry was dropped without a word."""
+    window = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
+    with pytest.raises(ValueError, match="grid_points"):
+        estimate_density(terminal_ensemble, heis1, window, grid_points=grid_points)
+
+
+def test_density_numpy_int_grid_points(heis1, terminal_ensemble):
+    """A numpy integer is one node count for every axis, as an int is."""
+    window = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
+    est = estimate_density(terminal_ensemble, heis1, window, grid_points=np.int64(5))
+    assert est.values.shape == (5, 5, 5)
+
+
 def test_dilation_scaling_ks(heis1):
     """Parabolic scaling: (z, tau)(t) matches (sqrt(t) z, t tau)(1) per marginal."""
     n_paths = 20_000

@@ -44,12 +44,12 @@ ORIGIN1 = FrameState(np.zeros(3), np.eye(1))
         dict(t_horizon=np.inf, n_steps=10, seed=1),
         dict(t_horizon=np.nan, n_steps=10, seed=1),
         dict(t_horizon=1.0, n_steps=-1, seed=1),
-        dict(t_horizon=1.0, n_steps=10, seed=1, reunitarize_every=-1),
         dict(t_horizon=1.0, n_steps=10, seed=1, record_stride=3),
         dict(t_horizon=1.0, n_steps=10, seed=1, coordinate_cap=0.0),
         dict(t_horizon=1.0, n_steps=10, seed=-1),
         dict(t_horizon=1.0, n_steps=10, seed=-(2**63)),
         dict(t_horizon=1.0, n_steps=10, seed=2**64),
+        dict(t_horizon=1.0, n_steps=10, seed=1, record_stride=0),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -142,7 +142,7 @@ def test_singular_frames_turn_nan(n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = [step(m, FrameState(x[i], e[i]), db[i]) for i in range(5)]
-        _x, e_batch, _ = _heun(m, x, e, db, True)
+        _x, e_batch, _ = _heun(m, x, e, db)
     bad = [1, 3, 4] if n > 1 else [1, 3]
     for i in range(5):
         if i in bad:
@@ -151,7 +151,7 @@ def test_singular_frames_turn_nan(n):
         else:
             assert np.isfinite(e_batch[i]).all()
     good = [i for i in range(5) if i not in bad]
-    _x, e_good, _ = _heun(m, x[good], e[good], db[good], True)
+    _x, e_good, _ = _heun(m, x[good], e[good], db[good])
     np.testing.assert_array_equal(e_batch[good], e_good)
     for j, i in enumerate(good):
         np.testing.assert_array_equal(out[i].e, e_good[j])
@@ -215,7 +215,7 @@ def test_increments_width_must_equal_n(heis2):
 
 def test_flat_step_carries_frame(heis2):
     """On the flat model a step moves the base point only: the frame comes
-    back as the same array, also when reunitarization is due, and the base
+    back as the same array, with no polar factor taken, and the base
     point is translated along its straight horizontal line, x + dx with
     dx the frame action at w = e dB.  The horizontal coordinates keep the
     bits of the general Heun step; t agrees with it to rounding."""
@@ -223,13 +223,13 @@ def test_flat_step_carries_frame(heis2):
     x = rng.normal(size=(6, 5))
     e = np.broadcast_to(np.eye(2, dtype=complex), (6, 2, 2)).copy()
     db = (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))) * 0.05
-    x_new, e_new, dx = _heun(heis2, x, e, db, True)
+    x_new, e_new, dx = _heun(heis2, x, e, db)
     assert e_new is e
     w = np.einsum("...ba,...a->...b", e, db)
     np.testing.assert_array_equal(dx, heis2.frame_action(x, w))
     np.testing.assert_array_equal(x_new, x + heis2.frame_action(x, w))
     general = dataclasses.replace(heis2, flat_connection=False)
-    x_ref, e_ref, _ = _heun(general, x, e, db, True)
+    x_ref, e_ref, _ = _heun(general, x, e, db)
     np.testing.assert_array_equal(x_new[:, :4], x_ref[:, :4])
     np.testing.assert_allclose(x_new[:, 4], x_ref[:, 4], rtol=0, atol=1e-15)
     np.testing.assert_array_equal(e_new, e_ref)
@@ -249,12 +249,12 @@ def test_flat_step_evaluates_velocity_once(heis2, monkeypatch):
     rng = np.random.default_rng(47)
     x = rng.normal(size=(6, 5))
     db = (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))) * 0.05
-    _heun(heis2, x, None, db, True)
+    _heun(heis2, x, None, db)
     assert calls == [6]
     calls.clear()
     general = dataclasses.replace(heis2, flat_connection=False)
     e = np.broadcast_to(np.eye(2, dtype=complex), (6, 2, 2)).copy()
-    _heun(general, x, e, db, True)
+    _heun(general, x, e, db)
     assert calls == [6, 6]
 
 
@@ -378,7 +378,7 @@ def test_gauge_stepping_makes_no_christoffel_calls(gauge1):
         return gauge1.christoffel(x)
 
     counted = dataclasses.replace(gauge1, christoffel=christoffel)
-    cfg = SimConfig(t_horizon=0.5, n_steps=20, seed=4, reunitarize_every=2)
+    cfg = SimConfig(t_horizon=0.5, n_steps=20, seed=4)
     s0 = FrameState(np.array([0.1, -0.2, 0.3]), np.eye(1))
     ens = simulate_ensemble(counted, s0, cfg, 50)
     assert calls == []
@@ -405,7 +405,7 @@ def test_phase_closed_form_steps_like_generic_gauge(n):
 
     generic = gauge_rotated_model(heisenberg_model(n), lam, dlam)
     closed = phase_rotated_heisenberg(n, kappa)
-    cfg = SimConfig(t_horizon=1.0, n_steps=50, seed=12, reunitarize_every=2)
+    cfg = SimConfig(t_horizon=1.0, n_steps=50, seed=12)
     s0 = FrameState(np.linspace(0.1, 0.3, dim), np.eye(n))
     got = simulate_ensemble(closed, s0, cfg, 200)
     want = simulate_ensemble(generic, s0, cfg, 200)
@@ -617,27 +617,12 @@ def test_weak_self_convergence_ratio(heis1):
 
 
 def test_unitarity_enforced_every_step(gauge1, unitarity_observer_factory):
-    cfg = SimConfig(t_horizon=1.0, n_steps=400, seed=91, reunitarize_every=1)
+    cfg = SimConfig(t_horizon=1.0, n_steps=400, seed=91)
     ens = simulate_ensemble(
         gauge1, ORIGIN1, cfg, 300,
         observer_factories={"defect": unitarity_observer_factory},
     )
     assert ens.observables["defect"].max() < 1e-8
-
-
-def test_unitarity_drift_without_projection(gauge1):
-    """Disabled projection: defect stays small over short horizons and
-    shrinks roughly linearly with the step size (measured, not pinned)."""
-    defects = {}
-    for steps in (250, 500, 1000):
-        cfg = SimConfig(t_horizon=1.0, n_steps=steps, seed=92, reunitarize_every=0)
-        ens = simulate_ensemble(gauge1, ORIGIN1, cfg, 200)
-        eye = np.eye(1)
-        defects[steps] = np.abs(
-            np.conj(np.swapaxes(ens.e, -1, -2)) @ ens.e - eye
-        ).max()
-    assert defects[1000] < 0.05
-    assert defects[1000] < defects[250]
 
 
 # --- non-finite paths ----------------------------------------------------------
