@@ -162,13 +162,14 @@ class ModelDescriptor:
                           gauge_rotated_model's connection over such a base
                           multiplies by g instead of a matrix product; any
                           other caller of connection_form must broadcast it
-                          too.  It must agree with christoffel; without it
-                          the integrator contracts christoffel(x) with w
-                          (see connection_form).  dataclasses.replace(m,
-                          christoffel=...) keeps the old connection, so a
-                          replacement christoffel must come with a matching
-                          connection (or connection=None) to reach the
-                          integrator.
+                          too.  Without it the integrator contracts
+                          christoffel(x) with w (see connection_form).  It
+                          is checked against that contraction at the probe
+                          point on construction, including through
+                          dataclasses.replace (relative FRAME_ACTION_RTOL,
+                          ValueError on a mismatch), so a replacement
+                          christoffel needs a matching connection or
+                          connection=None.
     frame_action(x, w) -> (..., D) real, or None: the base velocity
                           dx = 2 Re(sum_b w_b Z_b(x)) of frame coefficients
                           w (..., n).  Without it the integrator contracts
@@ -220,6 +221,8 @@ class ModelDescriptor:
         dx = None
         if self.frame_action is not None:
             dx = self._check_frame_action(probe, w)
+        if self.connection is not None:
+            dx = self._check_connection(probe, w, dx)
         if self.flat_connection:
             if np.any(np.asarray(self.christoffel(probe)) != 0):
                 raise ValueError(
@@ -248,6 +251,27 @@ class ModelDescriptor:
             return act
         raise ValueError(
             f"frame_action of model '{self.name}' disagrees with its frame "
+            f"(residual {err:.3e})"
+        )
+
+    def _check_connection(self, probe: np.ndarray, w: np.ndarray, dx) -> np.ndarray:
+        """The connection at the probe, checked against the Christoffel
+        contraction.  Returns the probe velocity dx (computed here when
+        the frame-action check has not)."""
+        if dx is None:
+            dx = np.asarray(self.base_velocity(probe, w), dtype=float)
+        got = np.asarray(self.connection(probe, w, dx), dtype=complex)
+        if got.shape[-1] == 1:
+            got = got * np.eye(self.n)     # the scalar form g I
+        ref = self._christoffel_form(probe, w)
+        err = np.abs(got - ref).max()
+        if err <= FRAME_ACTION_RTOL * np.abs(ref).max():
+            return dx
+        # Christoffel symbols NaN at the probe are matched by a form NaN there
+        if np.isnan(ref).all() and np.isnan(got).all():
+            return dx
+        raise ValueError(
+            f"connection of model '{self.name}' disagrees with its christoffel "
             f"(residual {err:.3e})"
         )
 
@@ -331,6 +355,11 @@ class ModelDescriptor:
         """
         if self.connection is not None:
             return self.connection(x, w, dx)
+        return self._christoffel_form(x, w)
+
+    def _christoffel_form(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The connection form along w contracted from christoffel(x),
+        shape (..., n, n)."""
         n = self.n
         gam = self.christoffel(x)                         # (..., 2n+1, n, n)
         g = np.einsum("...b,...bdg->...gd", w, gam[..., 1 : n + 1, :, :])

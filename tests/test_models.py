@@ -349,6 +349,33 @@ def test_frame_action_disagreeing_with_frame_rejected(heis1, gauge1):
         dataclasses.replace(gauge1, frame_action=heis1.frame_action)
 
 
+@pytest.mark.parametrize("field", ["connection", "christoffel"])
+def test_connection_disagreeing_with_christoffel_rejected(gauge1, field):
+    """The connection is probed against the Christoffel contraction on
+    construction: replacing either one alone with a scaled copy is
+    rejected, as a replaced frame is by the frame-action probe."""
+    scaled = {
+        "connection": lambda x, w, dx: 3.0 * gauge1.connection(x, w, dx),
+        "christoffel": lambda x: 3.0 * gauge1.christoffel(x),
+    }
+    with pytest.raises(ValueError, match="connection .* disagrees with its christoffel"):
+        dataclasses.replace(gauge1, **{field: scaled[field]})
+
+
+def test_connection_probe_accepts_matching_forms(gauge1, nan_beyond):
+    """Scalar (..., 1, 1) forms at n > 1, the matrix gauge's full form, a
+    frame NaN away from the probe and a model that contracts christoffel
+    all build."""
+    for n in (2, 3):
+        m = phase_rotated_heisenberg(n, 0.9)
+        assert m.connection(np.zeros(m.dim), np.ones(n), np.ones(m.dim)).shape == (1, 1)
+    lam, dlam = matrix_gauge_h2()
+    gauge_rotated_model(heisenberg_model(2), lam, dlam)
+    gauge_rotated_model(phase_rotated_heisenberg(2, 0.9), lam, dlam)
+    nan_beyond(gauge1, 0.3)
+    assert dataclasses.replace(gauge1, connection=None).connection is None
+
+
 def test_flat_connection_probes_straight_lines(heis1, gauge1, nan_beyond):
     """A flat connection also declares straight horizontal lines.  The
     declaration survives dataclasses.replace, so a frame whose lines are
