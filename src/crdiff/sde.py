@@ -285,17 +285,18 @@ def step(m: ModelDescriptor, s: FrameState, db: np.ndarray) -> FrameState:
     U(n); on a model with a flat connection the new state holds a copy of
     the frame.
     """
+    _require_unitary(s)
     db = np.asarray(db, dtype=complex)
     x, e, _ = _heun(m, s.x, s.e, db)
     return FrameState(x, e.copy() if e is s.e else e)
 
 
 def _require_unitary(s0: FrameState) -> None:
-    # a flat connection never projects the frame, so a start frame off
-    # U(n) would skew the law for the whole run
+    # no step moves a frame back onto U(n), so a frame off it would skew
+    # the law from there on
     defect = s0.unitarity_defect()
     if not defect <= UNITARITY_TOL:
-        raise ValueError(f"start frame is not unitary (defect {defect:.3e})")
+        raise ValueError(f"frame is not unitary (defect {defect:.3e})")
 
 
 def _map_blocks(run, n_paths: int, n_workers: int) -> list:

@@ -125,56 +125,80 @@ def test_step_rotation_equivariance(gauge1):
     np.testing.assert_allclose(rotated.e, plain.e @ q, atol=1e-12)
 
 
+def _nan_form_beyond(m, radius, full=False):
+    """m with a connection form that is NaN once |u1| exceeds radius; full
+    returns the scalar form as the matrix g I, which steps by a solve."""
+    eye = np.eye(m.n)
+
+    def connection(x, w, dx):
+        g = m.connection(x, w, dx)
+        if full:
+            g = g * eye
+        return np.where((np.abs(x[..., 0]) > radius)[..., None, None], np.nan, g)
+
+    return dataclasses.replace(m, connection=connection)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_singular_frames_turn_nan(n):
-    """Singular and non-finite frames have no polar factor: their rows come
-    back NaN, silently, and the other rows are bitwise those of a batch
-    without them."""
-    m = phase_rotated_heisenberg(n, 0.9)
+    """A row whose connection form is not finite has no frame step: it
+    comes back NaN, silently, for a scalar and for a matrix form, and the
+    other rows are bitwise those of a batch without it."""
     rng = np.random.default_rng(40 + n)
-    x = rng.uniform(-0.5, 0.5, size=(5, 2 * n + 1))
-    e = np.broadcast_to(np.eye(n, dtype=complex), (5, n, n)).copy()
+    x = rng.uniform(-0.2, 0.2, size=(5, 2 * n + 1))
+    x[1, 0], x[3, 0] = 0.5, -0.6
+    a = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+    e = np.linalg.qr(a)[0]
     db = (rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))) * 0.05
-    e[1] = 0.0
-    e[3] = np.nan
-    if n > 1:
-        e[4] = np.diag([1.0, 0.0])            # rank deficient
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = [step(m, FrameState(x[i], e[i]), db[i]) for i in range(5)]
-        _x, e_batch, _ = _heun(m, x, e, db)
-    bad = [1, 3, 4] if n > 1 else [1, 3]
-    for i in range(5):
-        if i in bad:
-            assert np.isnan(out[i].e).all()
-            assert np.isnan(e_batch[i]).all()
-        else:
-            assert np.isfinite(e_batch[i]).all()
-    good = [i for i in range(5) if i not in bad]
-    _x, e_good, _ = _heun(m, x[good], e[good], db[good])
-    np.testing.assert_array_equal(e_batch[good], e_good)
-    for j, i in enumerate(good):
-        np.testing.assert_array_equal(out[i].e, e_good[j])
+    bad, good = [1, 3], [0, 2, 4]
+    for full in (False, True):
+        m = _nan_form_beyond(phase_rotated_heisenberg(n, 0.9), 0.3, full)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = [step(m, FrameState(x[i], e[i]), db[i]) for i in range(5)]
+            x_batch, e_batch, _ = _heun(m, x, e, db)
+        for i in bad:
+            assert np.isnan(out[i].e).all() and np.isnan(e_batch[i]).all()
+            assert np.isnan(x_batch[i]).all()
+        assert np.isfinite(e_batch[good]).all()
+        x_good, e_good, _ = _heun(m, x[good], e[good], db[good])
+        np.testing.assert_array_equal(x_batch[good], x_good)
+        np.testing.assert_array_equal(e_batch[good], e_good)
+        for j, i in enumerate(good):
+            np.testing.assert_array_equal(out[i].e, e_good[j])
 
 
 def test_singular_frame_rows_retired_nonfinite():
-    """The stepping loop retires a row whose frame is singular as nonfinite,
-    at its start state, and leaves the other rows as they would be alone."""
-    m = phase_rotated_heisenberg(2, 0.9)
+    """The stepping loop retires a row whose connection form is not finite
+    as nonfinite, at its start state, and leaves the other rows as they
+    would be alone."""
+    m = _nan_form_beyond(phase_rotated_heisenberg(2, 0.9), 1.5, full=True)
     cfg = SimConfig(t_horizon=0.5, n_steps=10, seed=44)
     inc = driving_increments(cfg, 3, 2)
     x0 = np.zeros((3, 5))
+    x0[1, 0] = 2.0
     e0 = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy()
-    e0[1] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x, e, status, steps, _rec, _inc = _run_block(
             m, x0, e0, cfg, lambda k, _active: inc[:, k])
     assert [STATUS_NAMES[s] for s in status] == ["completed", "nonfinite", "completed"]
-    assert steps[1] == 0 and (e[1] == 0).all()
+    assert steps[1] == 0 and (x[1] == x0[1]).all() and (e[1] == np.eye(2)).all()
     ref = simulate_with_increments(m, FrameState(np.zeros(5), np.eye(2)), cfg, inc)
     np.testing.assert_array_equal(x[[0, 2]], ref.x[[0, 2]])
     np.testing.assert_array_equal(e[[0, 2]], ref.e[[0, 2]])
+
+
+@pytest.mark.parametrize("frame", [1.1 * np.eye(2), np.zeros((2, 2)),
+                                   np.full((2, 2), np.nan)])
+def test_step_rejects_nonunitary_frame(heis2, frame):
+    """step refuses a frame off U(n), as the simulators refuse a start
+    frame: from 1.1 I a flat step moves x 1.1 times too far, and a zero
+    frame never moves."""
+    db = np.array([0.1 + 0.05j, -0.02j])
+    for m in (heis2, phase_rotated_heisenberg(2, 0.9)):
+        with pytest.raises(ValueError, match="not unitary"):
+            step(m, FrameState(np.zeros(5), frame), db)
 
 
 @pytest.mark.parametrize("frame", [np.zeros((2, 2)), 1.001 * np.eye(2),
@@ -378,6 +402,7 @@ def test_gauge_stepping_makes_no_christoffel_calls(gauge1):
         return gauge1.christoffel(x)
 
     counted = dataclasses.replace(gauge1, christoffel=christoffel)
+    calls.clear()  # the construction probe's
     cfg = SimConfig(t_horizon=0.5, n_steps=20, seed=4)
     s0 = FrameState(np.array([0.1, -0.2, 0.3]), np.eye(1))
     ens = simulate_ensemble(counted, s0, cfg, 50)
