@@ -157,12 +157,13 @@ class ModelDescriptor:
                           + conj, as the matrix G[g, d] = sum_b w_b
                           Gamma_{b, d}^{g} + conj(w_b) Gamma_{bbar, d}^{g}
                           of de = -G e.  Shape (..., 1, 1) stands for the
-                          scalar form g I (any n): velocity_arrays applies
-                          it as de = -(g e) by broadcasting, and
+                          scalar form g I (any n): the integrator's Cayley
+                          frame step takes the scalar Mobius factor
+                          (1 - g/2) / (1 + g/2) for it, with no solve, and
                           gauge_rotated_model's connection over such a base
                           multiplies by g instead of a matrix product; any
                           other caller of connection_form must broadcast it
-                          too.  Without it the integrator contracts
+                          (as g I) too.  Without it the integrator contracts
                           christoffel(x) with w (see connection_form).  It
                           is checked against that contraction at the probe
                           point on construction, including through

@@ -28,9 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frame_bundle import (
-    UNITARITY_TOL, FrameState, _polar_batch, frame_coords, velocity_arrays,
+    UNITARITY_TOL, FrameState, cayley, frame_coords, velocity_arrays,
 )
 from .models import ModelDescriptor
+
+# Not called here (no step takes a polar factor), but kept as a name of
+# this module because the benchmark tracer (bench/tracer.py) wraps it here.
+from .frame_bundle import _polar_batch  # noqa: F401
 
 __all__ = [
     "BLOCK",
@@ -76,8 +80,8 @@ class SimConfig:
     seed lies in [0, 2**64); np.random.SeedSequence refuses a negative one.
     record_stride is read only by the recording simulators (simulate_path,
     and simulate_ensemble with record=True); exit sampling reads neither
-    it nor coordinate_cap.  There is no projection setting: every step of
-    a non-flat model projects its frames back onto U(n).
+    it nor coordinate_cap.  There is no projection setting: the Cayley
+    frame step keeps frames on U(n) without one.
     """
 
     t_horizon: float
@@ -243,25 +247,30 @@ def _heun(m: ModelDescriptor, x, e, db):
     """Heun predictor-corrector step of a batch; rows are independent.
 
     Returns (x_new, e_new, dx1), dx1 the base velocity at the pre-step
-    state (the line-integral observer's pre-step term).  On a non-flat
-    connection the Heun update of the frame leaves U(n), and every step
-    takes its unitary polar factor (_polar_batch).  On a flat
+    state (the line-integral observer's pre-step term).  The base point
+    takes the Heun update x + (dx1 + dx2) / 2.  On a non-flat connection
+    the frame takes the Lie-group Heun update by Cayley maps of the
+    connection forms G1 and G2 at the two states: the predictor frame is
+    cay(G1) e and the new frame cay((G1 + G2) / 2) e (see
+    frame_bundle.cayley).  Both are unitary, so no projection follows,
+    and a row whose form is not finite comes back NaN.  On a flat
     connection parallel transport is the identity: the frame is returned
-    as it came (the same array) and no polar factor is taken; e may then
-    be None, which stands for the identity frame (w = db).  The horizontal
-    lines of a flat model are straight, so dx2 = dx1 in exact arithmetic
-    and Heun, Euler and the translation x + dx1 coincide: one evaluation.
+    as it came (the same array); e may then be None, which stands for
+    the identity frame (w = db).  The horizontal lines of a flat model
+    are straight, so dx2 = dx1 in exact arithmetic and Heun, Euler and
+    the translation x + dx1 coincide: one evaluation.
     """
     if m.flat_connection:
         w = db if e is None else frame_coords(e, db)
         dx1, _ = velocity_arrays(m, x, e, db, w=w)
         return x + dx1, e, dx1
-    dx1, de1 = velocity_arrays(m, x, e, db)
-    x_new, e_new = x + dx1, e + de1
-    dx2, de2 = velocity_arrays(m, x_new, e_new, db)
+    dx1, g1 = velocity_arrays(m, x, e, db)
+    x_new = x + dx1
+    dx2, g2 = velocity_arrays(m, x_new, cayley(0.5 * g1, e), db)
     x_new = _average(x, dx1, dx2, x_new)
-    e_new = _polar_batch(_average(e, de1, de2, e_new))
-    return x_new, e_new, dx1
+    h = g1 + g2
+    h *= 0.25
+    return x_new, cayley(h, e), dx1
 
 
 def _average(y, dy1, dy2, out):
@@ -281,9 +290,10 @@ def step(m: ModelDescriptor, s: FrameState, db: np.ndarray) -> FrameState:
     """One Heun predictor-corrector step of the bundle SDE.
 
     The scheme is driven entirely by the increment (the equation has no
-    drift term).  On a non-flat model the new frame is projected onto
-    U(n); on a model with a flat connection the new state holds a copy of
-    the frame.
+    drift term).  On a non-flat model the frame moves by Cayley maps,
+    which keep it unitary but do not restore it, so s.e must be unitary
+    (ValueError "not unitary" otherwise, as in the simulators); on a
+    model with a flat connection the new state holds a copy of the frame.
     """
     _require_unitary(s)
     db = np.asarray(db, dtype=complex)

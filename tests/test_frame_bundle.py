@@ -1,4 +1,4 @@
-"""Horizontal velocities and frame reunitarization."""
+"""Horizontal velocities, Cayley frame steps and frame reunitarization."""
 
 import dataclasses
 import warnings
@@ -6,19 +6,35 @@ import warnings
 import numpy as np
 import pytest
 
-from crdiff import dirichlet, phase_rotated_heisenberg, reunitarize, sde
-from crdiff.frame_bundle import _polar_batch, frame_coords, velocity_arrays
+from crdiff import (
+    FrameState,
+    SimConfig,
+    dirichlet,
+    frame_bundle,
+    gauge_rotated_model,
+    heisenberg_model,
+    koranyi_ball,
+    phase_rotated_heisenberg,
+    reunitarize,
+    sample_exits,
+    sde,
+    simulate_ensemble,
+)
+from crdiff.frame_bundle import _polar_batch, cayley, frame_coords, velocity_arrays
+
+from frame_oracle import matrix_gauge_h2
 
 
 def test_velocity_at_origin(heis1):
-    dx, de = velocity_arrays(heis1, np.zeros(3), np.eye(1), np.array([1.0]))
+    dx, g = velocity_arrays(heis1, np.zeros(3), np.eye(1), np.array([1.0]))
     np.testing.assert_allclose(dx, [1.0, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(de, 0.0, atol=1e-15)
+    np.testing.assert_allclose(g, 0.0, atol=1e-15)
 
 
 def test_flat_velocity_skips_christoffel(heis2):
-    """On a flat model de is zero without evaluating the Christoffel
-    symbols, and both parts agree with the general contraction."""
+    """On a flat model the connection form is zero without evaluating the
+    Christoffel symbols, and both parts agree with the general
+    contraction."""
     calls = []
 
     def christoffel(x):
@@ -39,7 +55,7 @@ def test_flat_velocity_skips_christoffel(heis2):
     np.testing.assert_array_equal(dx, dx_ref)
     np.testing.assert_array_equal(de, de_ref)
     assert de.shape == (4, 2, 2) and de.dtype == complex
-    # the flat de is a read-only zero-stride view: no batch allocates it
+    # the flat form is a read-only zero-stride view: no batch allocates it
     assert not de.flags.writeable and de.strides == (0, 0, 0)
 
 
@@ -77,24 +93,86 @@ def test_velocity_is_real_valued(gauge1):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("frames", ["identity", "unitary"])
 def test_scalar_connection_form_matches_contraction(n, frames):
-    """A (..., 1, 1) connection form g is applied by broadcasting with the
-    bits of the contraction with g I, zeros and their signs included."""
+    """velocity_arrays hands back the model's (..., 1, 1) connection form
+    g, and g I is the Christoffel contraction to rounding.  Its Cayley
+    step, the Mobius factor (1 - g/2) / (1 + g/2), is the batched solve
+    with g I to rounding, fixes the frame exactly where g = 0, and keeps
+    the frames unitary."""
     m = phase_rotated_heisenberg(n, 0.9)
     rng = np.random.default_rng(40 + n)
     p = 512
     x = rng.normal(size=(p, 2 * n + 1))
     xi = rng.normal(size=(p, n)) + 1j * rng.normal(size=(p, n))
-    xi[:2] = 0.0  # dx = 0 there, so g = 0 and every product is zero
+    xi[:2] = 0.0  # dx = 0 there, so g = 0
     if frames == "identity":
         e = np.broadcast_to(np.eye(n, dtype=complex), (p, n, n)).copy()
     else:
         a = rng.normal(size=(p, n, n)) + 1j * rng.normal(size=(p, n, n))
         e = np.linalg.qr(a)[0]
-    dx, de = velocity_arrays(m, x, e, xi)
-    g = m.connection(x, frame_coords(e, xi), dx)
+    dx, g = velocity_arrays(m, x, e, xi)
+    w = frame_coords(e, xi)
     assert g.shape == (p, 1, 1) and not g.real.any()
-    want = -np.einsum("...gd,...de->...ge", g * np.eye(n), e)
-    assert de.shape == want.shape and de.tobytes() == want.tobytes()
+    assert g.tobytes() == m.connection(x, w, dx).tobytes()
+    contracted = dataclasses.replace(m, connection=None).connection_form(x, w, dx)
+    np.testing.assert_allclose(g * np.eye(n), contracted, rtol=0,
+                               atol=1e-14 * np.abs(contracted).max())
+    moved = cayley(0.5 * g, e)
+    np.testing.assert_allclose(moved, cayley(0.5 * g * np.eye(n), e), rtol=0, atol=1e-14)
+    assert moved[:2].tobytes() == e[:2].tobytes()
+    eye = np.eye(n)
+    defect = np.abs(np.conj(np.swapaxes(moved, -1, -2)) @ moved - eye).max()
+    assert defect < 1e-14
+
+
+def _matrix_gauge():
+    return gauge_rotated_model(heisenberg_model(2), *matrix_gauge_h2())
+
+
+UNITARITY_CASES = {
+    "phase n=1": lambda: phase_rotated_heisenberg(1, 0.9),
+    "phase n=2": lambda: phase_rotated_heisenberg(2, 0.9),
+    "phase n=3": lambda: phase_rotated_heisenberg(3, 0.9),
+    "matrix gauge on H2": _matrix_gauge,
+}
+
+
+@pytest.mark.parametrize("name", list(UNITARITY_CASES))
+def test_cayley_steps_stay_unitary_without_projection(name):
+    """10^4 Heun steps with Cayley frame updates and no projection leave
+    every frame unitary to 1e-12 (a scalar form at n = 1, 2, 3 and a
+    full matrix form)."""
+    m = UNITARITY_CASES[name]()
+    cfg = SimConfig(t_horizon=10.0, n_steps=10_000, seed=5)
+    ens = simulate_ensemble(m, FrameState(np.zeros(m.dim), np.eye(m.n)), cfg, 4)
+    assert ens.completed.all()
+    e = ens.e
+    defect = np.abs(np.conj(np.swapaxes(e, -1, -2)) @ e - np.eye(m.n)).max()
+    assert defect <= 1e-12
+
+
+def test_cayley_form_shapes_and_nonfinite_rows():
+    """A full form takes one batched solve, (I + h) cay = (I - h) e; a
+    scalar form the Mobius factor.  A row whose form is not finite comes
+    back NaN, silently, and the other rows are those of a batch without
+    it."""
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+    h = 0.5 * (a - np.conj(np.swapaxes(a, -1, -2)))   # skew-Hermitian
+    e = np.linalg.qr(rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2)))[0]
+    out = cayley(h, e)
+    np.testing.assert_allclose((np.eye(2) + h) @ out, e - h @ e, rtol=0, atol=1e-14)
+    g = 1j * rng.normal(size=(6, 1, 1))
+    np.testing.assert_allclose(cayley(g, e), (1 - g) / (1 + g) * e, rtol=0, atol=0)
+    for form in (h, g):
+        bad = form.copy()
+        bad[1] = np.nan
+        bad[4] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cayley(bad, e)
+        assert np.isnan(got[[1, 4]]).all()
+        keep = [0, 2, 3, 5]
+        np.testing.assert_array_equal(got[keep], cayley(form[keep], e[keep]))
 
 
 # --- reunitarization ---------------------------------------------------------
@@ -160,8 +238,25 @@ def test_polar_n1_closed_form():
     np.testing.assert_array_equal(u[finite], rows[finite] / np.abs(rows[finite]))
 
 
-def test_polar_factor_shared_with_stepping():
-    """reunitarize and the Heun kernels (sde and the exit sampler) use the
-    one polar factor."""
+def test_stepping_takes_no_polar_factor(gauge1, monkeypatch):
+    """No stepping path calls the polar factor: gauge ensembles at n = 1
+    and 2, a matrix-gauge ensemble and gauge exits run with it raising.
+    It stays a name of sde and dirichlet, where the benchmark tracer wraps
+    it, and reunitarize still takes it."""
     assert sde._polar_batch is _polar_batch
     assert dirichlet._polar_batch is _polar_batch
+
+    def refuse(e):
+        raise AssertionError("a stepping path took the polar factor")
+
+    for module in (sde, dirichlet, frame_bundle):
+        monkeypatch.setattr(module, "_polar_batch", refuse)
+    cfg = SimConfig(t_horizon=0.5, n_steps=20, seed=3)
+    for m in (gauge1, phase_rotated_heisenberg(2, 0.9), _matrix_gauge()):
+        ens = simulate_ensemble(m, FrameState(np.zeros(m.dim), np.eye(m.n)), cfg, 600)
+        assert ens.completed.all()
+    batch = sample_exits(gauge1, np.array([0.3, 0.2, 0.1]), koranyi_ball(1, 1.0),
+                         SimConfig(t_horizon=1.0, n_steps=200, seed=6), 300)
+    assert batch.exited.any()
+    with pytest.raises(AssertionError, match="polar factor"):
+        reunitarize(np.eye(2))
