@@ -53,8 +53,9 @@ class FrameState:
         return self.e.shape[-1]
 
     def unitarity_defect(self) -> float:
-        eye = np.eye(self.n)
-        return float(np.abs(np.conj(self.e.T) @ self.e - eye).max())
+        """max |e^H e - I|, over every frame of a batched state too."""
+        e = self.e
+        return float(np.abs(np.conj(np.swapaxes(e, -1, -2)) @ e - np.eye(self.n)).max())
 
     def copy(self) -> "FrameState":
         return FrameState(self.x.copy(), self.e.copy())

@@ -199,6 +199,12 @@ def test_step_rejects_nonunitary_frame(heis2, frame):
     for m in (heis2, phase_rotated_heisenberg(2, 0.9)):
         with pytest.raises(ValueError, match="not unitary"):
             step(m, FrameState(np.zeros(5), frame), db)
+        # a batch of two states, one of them off U(n)
+        batch = FrameState(np.zeros((2, 5)), np.stack([np.eye(2), frame]))
+        with pytest.raises(ValueError, match="not unitary"):
+            step(m, batch, np.stack([db, db]))
+        ok = step(m, FrameState(np.zeros((2, 5)), np.stack([np.eye(2)] * 2)), np.stack([db, db]))
+        assert ok.e.shape == (2, 2, 2)
 
 
 @pytest.mark.parametrize("frame", [np.zeros((2, 2)), 1.001 * np.eye(2),
@@ -239,7 +245,7 @@ def test_increments_width_must_equal_n(heis2):
 
 def test_flat_step_carries_frame(heis2):
     """On the flat model a step moves the base point only: the frame comes
-    back as the same array, with no polar factor taken, and the base
+    back as the same array, with no Cayley factor taken, and the base
     point is translated along its straight horizontal line, x + dx with
     dx the frame action at w = e dB.  The horizontal coordinates keep the
     bits of the general Heun step; t agrees with it to rounding."""
