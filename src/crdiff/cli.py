@@ -1,11 +1,15 @@
 """Command-line entry point.
 
 Configuration comes from an INI-style file ([run] section, key = value)
-and/or flags, flags winning.  Each command takes only the keys it reads;
-any other key is rejected by name.  Every output file starts with comment
-lines carrying the tool version, a hash of the effective configuration,
-and the seed; identical configurations produce byte-identical outputs for
-any worker count.
+and/or flags, flags winning.  Each command takes only the keys it reads,
+and a model key only on a model that reads it (``kappa`` on
+``heisenberg_phase`` alone); any other key is rejected by name.  Every
+output file starts with comment lines carrying the tool version, a hash
+of the effective configuration, and the seed; identical configurations
+produce byte-identical outputs for any worker count.  The stepping
+commands write their CSV to ``--output``, or to ``CRDIFF_OUTPUT_DIR`` (the
+working directory by default) under the command's name; the three check
+commands write one only when ``--output`` is given.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -55,6 +59,12 @@ COMMANDS = (
 # key -> (type, default); a command's schema holds exactly the keys its
 # runner reads
 _MODEL_KEYS = {"model": (str, "heisenberg"), "n": (int, 1), "kappa": (float, 0.5)}
+# model -> the keys of _MODEL_KEYS its builder reads; a run on that model
+# refuses the others and leaves them out of its params
+_MODEL_READS = {
+    "heisenberg": {"model", "n"},
+    "heisenberg_phase": {"model", "n", "kappa"},
+}
 # every command that steps paths from a start point
 _PATH_KEYS = {
     "t_horizon": (float, 1.0),
@@ -175,7 +185,7 @@ def parse_config(argv) -> RunConfig:
     ns = _parser(invoked).parse_args(argv)
     command = ns.command
     schema = _SCHEMAS[command]
-    params = {k: d for k, (t, d) in schema.items()}
+    given = {}
 
     if ns.config is not None:
         file_items = _read_config_file(ns.config)
@@ -188,13 +198,21 @@ def parse_config(argv) -> RunConfig:
                 continue
             if key not in schema:
                 raise ConfigError(f"unknown key '{key}' for command {command}")
-            params[key] = _coerce(command, key, raw, schema)
+            given[key] = _coerce(command, key, raw, schema)
 
     for key in schema:
         val = getattr(ns, key)
         if val is not None:
-            params[key] = val
+            given[key] = val
 
+    model = given.get("model", schema["model"][1])
+    if model not in _MODEL_READS:
+        raise ConfigError(f"unknown model '{model}'")
+    unread = _MODEL_KEYS.keys() - _MODEL_READS[model]
+    refused = sorted(unread & given.keys())
+    if refused:
+        raise ConfigError(f"key '{refused[0]}' is not read by model '{model}'")
+    params = {k: given.get(k, d) for k, (t, d) in schema.items() if k not in unread}
     _validate(command, params)
     return RunConfig(command=command, params=params)
 
@@ -264,7 +282,7 @@ def _model(params):
     if name == "heisenberg":
         return heisenberg_model(n)
     if name == "heisenberg_phase":
-        return phase_rotated_heisenberg(n, params.get("kappa", 0.5))
+        return phase_rotated_heisenberg(n, params["kappa"])
     raise ConfigError(f"unknown model '{name}'")
 
 
@@ -529,13 +547,13 @@ def _cmd_check_hormander(cfg: RunConfig) -> int:
     table = span_rank(m, pts, p["max_order"])
     sv = table.singular_values[:, : m.dim]
     sv = np.pad(sv, ((0, 0), (0, m.dim - sv.shape[1])))
-    cols = _coord_names(m.n) + ["rank"] + [f"sv{i+1}" for i in range(m.dim)]
-    out = _output_path(p, cfg.command)
-    _write_csv(out, cfg, cols, [*pts.T, table.rank, *sv.T],
-               extra_comments=[f"max_order {p['max_order']}"])
+    if p.get("output"):
+        cols = _coord_names(m.n) + ["rank"] + [f"sv{i+1}" for i in range(m.dim)]
+        _write_csv(p["output"], cfg, cols, [*pts.T, table.rank, *sv.T],
+                   extra_comments=[f"max_order {p['max_order']}"])
     ranks = np.unique(table.rank).tolist()
     print(f"check-hormander: order {p['max_order']}, ranks {ranks}, "
-          f"seed={p['seed']} -> {out}")
+          f"seed={p['seed']}")
     return 0
 
 

@@ -240,20 +240,28 @@ class ModelDescriptor:
             probe = np.clip(probe, self.chart_bound[:, 0], self.chart_bound[:, 1])
         return probe, (0.7 - 0.2j) - (0.4 - 1.1j) * np.arange(self.n)
 
+    def _require_agreement(self, evaluator: str, source: str, got, ref) -> None:
+        """The probe rule: got, the value of ``evaluator`` at the probe,
+        agrees with ref, the value derived from ``source``, when the
+        residual is at most FRAME_ACTION_RTOL max|ref| or both are NaN
+        throughout (a source NaN at the probe is matched by an evaluator
+        NaN there); ValueError otherwise."""
+        err = np.abs(got - ref).max()
+        if err <= FRAME_ACTION_RTOL * np.abs(ref).max():
+            return
+        if np.isnan(ref).all() and np.isnan(got).all():
+            return
+        raise ValueError(
+            f"{evaluator} of model '{self.name}' disagrees with its {source} "
+            f"(residual {err:.3e})"
+        )
+
     def _check_frame_action(self, probe: np.ndarray, w: np.ndarray) -> np.ndarray:
         """The frame action at the probe, checked against the frame."""
         act = np.asarray(self.frame_action(probe, w), dtype=float)
-        ref = 2.0 * (self.frame(probe) @ w).real
-        err = np.abs(act - ref).max()
-        if err <= FRAME_ACTION_RTOL * np.abs(ref).max():
-            return act
-        # a frame that is NaN at the probe is matched by an action NaN there
-        if np.isnan(ref).all() and np.isnan(act).all():
-            return act
-        raise ValueError(
-            f"frame_action of model '{self.name}' disagrees with its frame "
-            f"(residual {err:.3e})"
-        )
+        self._require_agreement("frame_action", "frame", act,
+                                2.0 * (self.frame(probe) @ w).real)
+        return act
 
     def _check_connection(self, probe: np.ndarray, w: np.ndarray, dx) -> np.ndarray:
         """The connection at the probe, checked against the Christoffel
@@ -264,17 +272,9 @@ class ModelDescriptor:
         got = np.asarray(self.connection(probe, w, dx), dtype=complex)
         if got.shape[-1] == 1:
             got = got * np.eye(self.n)     # the scalar form g I
-        ref = self._christoffel_form(probe, w)
-        err = np.abs(got - ref).max()
-        if err <= FRAME_ACTION_RTOL * np.abs(ref).max():
-            return dx
-        # Christoffel symbols NaN at the probe are matched by a form NaN there
-        if np.isnan(ref).all() and np.isnan(got).all():
-            return dx
-        raise ValueError(
-            f"connection of model '{self.name}' disagrees with its christoffel "
-            f"(residual {err:.3e})"
-        )
+        self._require_agreement("connection", "christoffel", got,
+                                self._christoffel_form(probe, w))
+        return dx
 
     def _check_straight(self, probe: np.ndarray, w: np.ndarray, dx) -> None:
         """The flat step's premise: the velocity dx at the probe is the
@@ -389,6 +389,14 @@ class ModelDescriptor:
         return np.all((x >= lo) & (x <= hi), axis=-1)
 
     def require_inside(self, x: np.ndarray) -> None:
+        """Refuse points x (..., D) of another width (ValueError) or
+        outside the chart bound (ChartBoundsError)."""
+        shape = np.shape(x)
+        if shape[-1:] != (self.dim,):
+            raise ValueError(
+                f"points of model '{self.name}' have {self.dim} coordinates, "
+                f"got shape {shape}"
+            )
         if not np.all(self.inside_chart(x)):
             raise ChartBoundsError(f"point outside chart of model '{self.name}'")
 

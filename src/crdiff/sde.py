@@ -290,21 +290,40 @@ def step(m: ModelDescriptor, s: FrameState, db: np.ndarray) -> FrameState:
     """One Heun predictor-corrector step of the bundle SDE.
 
     The scheme is driven entirely by the increment (the equation has no
-    drift term).  On a non-flat model the frame moves by Cayley maps,
-    which keep it unitary but do not restore it, so s.e must be unitary
-    (ValueError "not unitary" otherwise, as in the simulators); on a
-    model with a flat connection the new state holds a copy of the frame.
+    drift term).  s may be one state or a batch: x (..., D) inside the
+    chart and e (..., n, n).  On a non-flat model the frame moves by
+    Cayley maps, which keep it unitary but do not restore it, so s.e must
+    be unitary.  A state of another shape or a frame off U(n) raises
+    ValueError, as a start state does in the simulators.  On a model with
+    a flat connection the new state holds a copy of the frame.
     """
-    _require_unitary(s)
+    _require_state(m, s, batched=True)
     db = np.asarray(db, dtype=complex)
     x, e, _ = _heun(m, s.x, s.e, db)
     return FrameState(x, e.copy() if e is s.e else e)
 
 
-def _require_unitary(s0: FrameState) -> None:
+def _require_state(m: ModelDescriptor, s: FrameState, batched: bool = False) -> None:
+    """Refuse a state that m cannot step: a point whose last axis is not
+    m.dim or that lies outside the chart (m.require_inside), a frame
+    whose shape is not the point's leading axes plus (n, n), or a frame
+    off U(n).  A simulator's start state (batched False) is one point
+    (D,) and one frame (n, n).  ValueError (ChartBoundsError outside the
+    chart) names the fault.
+    """
+    m.require_inside(s.x)
+    lead = s.x.shape[:-1]
+    if s.e.shape != lead + (m.n, m.n) or (lead and not batched):
+        want = f"({m.dim},) and ({m.n}, {m.n})"
+        if batched:
+            want = f"(..., {m.dim}) and (..., {m.n}, {m.n})"
+        raise ValueError(
+            f"state of model '{m.name}' needs a point and a frame of shapes "
+            f"{want}, got {s.x.shape} and {s.e.shape}"
+        )
     # no step moves a frame back onto U(n), so a frame off it would skew
     # the law from there on
-    defect = s0.unitarity_defect()
+    defect = s.unitarity_defect()
     if not defect <= UNITARITY_TOL:
         raise ValueError(f"frame is not unitary (defect {defect:.3e})")
 
@@ -447,8 +466,7 @@ def simulate_path(
     m: ModelDescriptor, s0: FrameState, cfg: SimConfig, store_increments: bool = True
 ) -> Path:
     """Integrate a single trajectory; equals path 0 of the seeded ensemble."""
-    m.require_inside(s0.x)
-    _require_unitary(s0)
+    _require_state(m, s0)
     draw = _seeded_draw_fn(cfg.seed, 0, m.n, cfg.dt, 1)
     out = _run_block(
         m, s0.x[None], s0.e[None], cfg, draw,
@@ -510,8 +528,7 @@ def simulate_ensemble(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    m.require_inside(s0.x)
-    _require_unitary(s0)
+    _require_state(m, s0)
     factories = observer_factories or {}
     obs_names = list(factories)
 
@@ -554,8 +571,7 @@ def simulate_with_increments(
             f"increments must have shape (n_paths, {cfg.n_steps}, {m.n}), "
             f"got {increments.shape}"
         )
-    m.require_inside(s0.x)
-    _require_unitary(s0)
+    _require_state(m, s0)
     p_count = increments.shape[0]
     x0 = np.repeat(s0.x[None].astype(float), p_count, axis=0)
     e0 = np.repeat(s0.e[None].astype(complex), p_count, axis=0)

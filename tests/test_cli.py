@@ -192,7 +192,7 @@ class _RecordingParams(dict):
         return super().get(key, default)
 
 
-# tiny runs; heisenberg_phase so that kappa is read
+# tiny runs, each made on both models
 EVERY_KEY_ARGVS = {
     "simulate": "--paths 4 --steps 2",
     "density": "--paths 100 --steps 2 --grid-points 3",
@@ -207,14 +207,34 @@ EVERY_KEY_ARGVS = {
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_every_key_is_read(command, tmp_path, capsys):
-    """A command's schema holds only keys its runner reads, so no key is
-    taken and then ignored."""
-    argv = [command, *EVERY_KEY_ARGVS[command].split(),
-            "--model", "heisenberg_phase", "--output", str(tmp_path / "out.csv")]
-    cfg = parse_config(argv)
-    cfg.params = _RecordingParams(cfg.params)
-    assert run(cfg) == 0
-    assert set(cli._SCHEMAS[command]) - cfg.params.read == set()
+    """On each model a command takes only the keys its runner and the
+    model read (kappa on heisenberg_phase alone), so no key is taken and
+    then ignored."""
+    for model, reads in cli._MODEL_READS.items():
+        argv = [command, *EVERY_KEY_ARGVS[command].split(),
+                "--model", model, "--output", str(tmp_path / "out.csv")]
+        cfg = parse_config(argv)
+        keys = set(cli._SCHEMAS[command]) - (cli._MODEL_KEYS.keys() - reads)
+        assert set(cfg.params) == keys, model
+        cfg.params = _RecordingParams(cfg.params)
+        assert run(cfg) == 0
+        assert keys - cfg.params.read == set(), model
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_kappa_refused_on_heisenberg(command, tmp_path, capsys):
+    """heisenberg does not read kappa: the key exits 2 naming the key and
+    the model, as a flag and as a key of a config file, even at its
+    default value, where it used to move only the config hash."""
+    assert main([command, "--model", "heisenberg", "--kappa", "0.5"]) == 2
+    assert "key 'kappa' is not read by model 'heisenberg'" in capsys.readouterr().err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"[run]\ncommand = {command}\nkappa = 0.5\n")
+    assert main([command, "--config", str(cfg_file)]) == 2
+    assert "key 'kappa' is not read by model 'heisenberg'" in capsys.readouterr().err
+    # the model that reads it takes the same file
+    cfg = parse_config([command, "--model", "heisenberg_phase", "--config", str(cfg_file)])
+    assert cfg.params["kappa"] == 0.5
 
 
 # flags of the keys that commands no longer take, and the commands that took them
@@ -274,14 +294,19 @@ def test_flag_overrides_file(tmp_path):
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = parse_config(
-        "dirichlet --domain koranyi:0.5 --data tau --paths 17 --seed 4".split()
-    )
-    out = tmp_path / "saved.cfg"
-    cfg.to_file(str(out))
-    again = parse_config(["dirichlet", "--config", str(out)])
-    assert again.params == cfg.params
-    assert again.hash() == cfg.hash()
+    """A saved config reads back to the same params and hash on both
+    models; only heisenberg_phase saves a kappa."""
+    for model in ("heisenberg", "heisenberg_phase --kappa 0.7"):
+        cfg = parse_config(
+            f"dirichlet --model {model} --domain koranyi:0.5 --data tau --paths 17 "
+            "--seed 4".split()
+        )
+        out = tmp_path / "saved.cfg"
+        cfg.to_file(str(out))
+        assert ("kappa" in out.read_text()) == model.startswith("heisenberg_phase")
+        again = parse_config(["dirichlet", "--config", str(out)])
+        assert again.params == cfg.params
+        assert again.hash() == cfg.hash()
 
 
 def test_hash_ignores_output_and_workers():
@@ -606,16 +631,38 @@ def test_dirichlet_records_reuse_the_solve_batch(tmp_path, monkeypatch):
     assert len(rows) == 41
 
 
+@pytest.mark.parametrize("argv", [
+    "check-model --points 2",
+    "check-hormander --points 2",
+    "check-smoothness --max-order 1",
+])
+def test_check_commands_write_only_with_output(argv, tmp_path, monkeypatch):
+    """The three check commands write a CSV only with --output: not into
+    the working directory, nor into CRDIFF_OUTPUT_DIR."""
+    cwd, out_dir = tmp_path / "cwd", tmp_path / "out"
+    cwd.mkdir()
+    out_dir.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("CRDIFF_OUTPUT_DIR", str(out_dir))
+    assert main(argv.split()) == 0
+    assert list(cwd.iterdir()) == list(out_dir.iterdir()) == []
+    assert main(argv.split() + ["--output", "given.csv"]) == 0
+    assert [p.name for p in cwd.iterdir()] == ["given.csv"]
+    assert list(out_dir.iterdir()) == []
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("CRDIFF_OUTPUT_DIR", str(tmp_path))
     assert main("line-integral --form du1 --paths 20 --steps 20 --seed 14".split()) == 0
     assert (tmp_path / "line_integral.csv").exists()
 
 
-def test_run_rejects_unknown_model():
+def test_run_rejects_unknown_model(capsys):
     cfg = parse_config("simulate --paths 5 --steps 5 --seed 1".split())
     cfg.params["model"] = "nope"
     assert run(cfg) == 2
+    assert main("simulate --model nope --paths 5 --steps 5".split()) == 2
+    assert "unknown model 'nope'" in capsys.readouterr().err
 
 
 def test_parse_config_raises_for_bad_file(tmp_path):

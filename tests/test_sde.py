@@ -243,6 +243,39 @@ def test_increments_width_must_equal_n(heis2):
         simulate_with_increments(heis2, s0, cfg, narrow)
 
 
+@pytest.mark.parametrize("model, x, e", [
+    # at the parent: the fourth coordinate came back as uninitialized memory
+    ("heisenberg", np.zeros(4), np.eye(1)),
+    # an IndexError inside the frame
+    ("heisenberg", np.zeros(2), np.eye(1)),
+    # frames came back with shape (P, 2, 2)
+    ("heisenberg", np.zeros(3), np.eye(2)),
+    ("heisenberg_phase", np.zeros(3), np.eye(2)),
+    # a batch of start states; step takes it only with one frame per point
+    ("heisenberg", np.zeros((2, 3)), np.eye(1)),
+], ids=["4 coordinates", "2 coordinates", "2x2 frame", "2x2 frame gauge", "2 starts"])
+def test_start_state_of_wrong_shape_refused(model, x, e):
+    """A start point whose last axis is not D, a frame that is not n x n,
+    or more than one start state is refused with ValueError by every
+    simulator and by step, before any path runs."""
+    m = heisenberg_model(1) if model == "heisenberg" else phase_rotated_heisenberg(1, 0.9)
+    s0 = FrameState(x, e)
+    cfg = SimConfig(t_horizon=0.1, n_steps=5, seed=49)
+    runs = [
+        lambda: simulate_path(m, s0, cfg),
+        lambda: simulate_ensemble(m, s0, cfg, 4),
+        lambda: simulate_with_increments(m, s0, cfg, driving_increments(cfg, 4, 1)),
+        lambda: step(m, s0, np.full(x.shape[:-1] + (1,), 0.1 + 0.05j)),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="shape") as exc:
+            run()
+        assert not isinstance(exc.value, ChartBoundsError)
+    if x.shape[-1] != m.dim:
+        with pytest.raises(ValueError, match="have 3 coordinates"):
+            m.require_inside(x)
+
+
 def test_flat_step_carries_frame(heis2):
     """On the flat model a step moves the base point only: the frame comes
     back as the same array, with no Cayley factor taken, and the base

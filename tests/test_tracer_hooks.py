@@ -4,7 +4,8 @@ The tracer swaps wrappers into module attributes; a renamed layer would
 leave its spans empty and zero a benchmark counter without an error.  A
 small dirichlet, density and line-integral command under the tracer must
 record the spans of the refinement, its normals, the velocity, the KDE,
-the stepping blocks and the line-integral observer.
+the stepping blocks and the line-integral observer, and of the model
+builders, which the CLI must call by their names in crdiff.cli.
 """
 
 import importlib.util
@@ -40,7 +41,7 @@ def test_density_layers_traced(tmp_path):
         "density", "--model", "heisenberg_phase", "--n", "1", "--kappa", "0.9",
         "--paths", "200", "--steps", "10", "--grid-points", "5", "--seed", "6",
         "--output", str(tmp_path / "density.csv")])
-    assert {"observables.kde", "frame_bundle.velocity"} <= names
+    assert {"observables.kde", "frame_bundle.velocity", "models.build"} <= names
 
 
 def test_lineint_layers_traced(tmp_path):
@@ -48,4 +49,5 @@ def test_lineint_layers_traced(tmp_path):
         "line-integral", "--model", "heisenberg", "--n", "2", "--form", "du1",
         "--workers", "2", "--paths", "4100", "--steps", "3", "--seed", "7",
         "--output", str(tmp_path / "li.csv")])
-    assert {"sde.block", "frame_bundle.velocity", "observables.observer"} <= names
+    assert {"sde.block", "frame_bundle.velocity", "observables.observer",
+            "models.build"} <= names
