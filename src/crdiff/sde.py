@@ -18,6 +18,10 @@ and the noise drawn per step is proportional to the live sub-blocks, not
 to the block.  Exit-time refinement (see dirichlet) draws its substep
 normals from a counter-based Philox4x32-10 keyed by the seed, one counter
 per (path index, crossing step, split level, normal pair).
+
+One block driver runs every ensemble: simulate_ensemble on the seeded
+stream, simulate_with_increments on explicit increments, blocked the
+same way, and simulate_path as path 0 of one of them.
 """
 
 from __future__ import annotations
@@ -291,14 +295,18 @@ def step(m: ModelDescriptor, s: FrameState, db: np.ndarray) -> FrameState:
 
     The scheme is driven entirely by the increment (the equation has no
     drift term).  s may be one state or a batch: x (..., D) inside the
-    chart and e (..., n, n).  On a non-flat model the frame moves by
-    Cayley maps, which keep it unitary but do not restore it, so s.e must
-    be unitary.  A state of another shape or a frame off U(n) raises
-    ValueError, as a start state does in the simulators.  On a model with
-    a flat connection the new state holds a copy of the frame.
+    chart and e (..., n, n), with db (..., n).  On a non-flat model the
+    frame moves by Cayley maps, which keep it unitary but do not restore
+    it, so s.e must be unitary.  A state or increment of another shape or
+    a frame off U(n) raises ValueError, as a start state does in the
+    simulators.  On a model with a flat connection the new state holds a
+    copy of the frame.
     """
     _require_state(m, s, batched=True)
     db = np.asarray(db, dtype=complex)
+    want = s.x.shape[:-1] + (m.n,)
+    if db.shape != want:
+        raise ValueError(f"increment must have shape {want}, got {db.shape}")
     x, e, _ = _heun(m, s.x, s.e, db)
     return FrameState(x, e.copy() if e is s.e else e)
 
@@ -342,28 +350,20 @@ def _map_blocks(run, n_paths: int, n_workers: int) -> list:
     return [run(*span) for span in spans]
 
 
-def _run_block(
-    m: ModelDescriptor,
-    x0: np.ndarray,
-    e0: np.ndarray,
-    cfg: SimConfig,
-    draw_fn,
-    observer=None,
-    record: bool = False,
-    collect_increments: bool = False,
-):
+def _run_block(m: ModelDescriptor, x0: np.ndarray, e0: np.ndarray, cfg: SimConfig,
+               draw_fn, observer=None, record: bool = False):
     """Vectorized Heun loop over one batch of paths.
 
     x0: (P, D), e0: (P, n, n); draw_fn(k, active) gives the (P, n)
     increments of step k, where active masks the rows still stepping.
-    Returns (x, e, status, steps_taken, records, increments).  Paths that
-    leave the coordinate cap or the chart bound, or whose state turns
-    non-finite, are frozen at their last valid state and flagged.  The
-    start frames must be finite (the callers check them unitary): a frame
-    the flat kernel carries unchanged is not tested again.  On a flat
-    connection from identity start frames no step contracts a frame: the
-    kernel is driven by w = db, the contraction with I up to the sign of
-    a zero.
+    Returns (x, e, status, steps_taken, records).  Paths that leave the
+    coordinate cap or the chart bound, or whose state turns non-finite,
+    are frozen at their last valid state and flagged.  The loop ends
+    once every path has stopped.  The start frames must be finite (the
+    callers check them unitary): a frame the flat kernel carries
+    unchanged is not tested again.  On a flat connection from identity
+    start frames no step contracts a frame: the kernel is driven by
+    w = db, the contraction with I up to the sign of a zero.
     observer is called as in simulate_ensemble.
     """
     n_steps, dt = cfg.n_steps, cfg.dt
@@ -376,7 +376,6 @@ def _run_block(
     steps_taken = np.zeros(p_count, dtype=np.int64)
     active = np.ones(p_count, dtype=bool)
     cap = cfg.coordinate_cap
-    inc_list: list[np.ndarray] = []
 
     rec = None
     if record:
@@ -394,8 +393,6 @@ def _run_block(
         if not active.any():
             break
         db = draw_fn(k, active)
-        if collect_increments:
-            inc_list.append(db.copy())
         x_new, e_new, dx0 = _heun(m, x, None if frameless else e, db)
         if frameless:
             e_new = e
@@ -436,69 +433,75 @@ def _run_block(
             rec.x[t_idx], rec.e[t_idx], rec.valid[t_idx] = x, e, active
 
     steps_taken[active] = n_steps
-    increments = None
-    if collect_increments:
-        increments = (np.stack(inc_list, axis=1) if inc_list
-                      else np.zeros((p_count, 0, e.shape[-1]), dtype=complex))
-    return x, e, status, steps_taken, rec, increments
+    return x, e, status, steps_taken, rec
 
 
-def _extract_path(cfg: SimConfig, x, e, status, steps_taken, rec, increments, slot: int) -> Path:
-    s_taken = int(steps_taken[slot])
-    stat = STATUS_NAMES[status[slot]]
-    if rec is None:
-        times = np.array([0.0])
-        xs, es = x[None, slot], e[None, slot]
-    else:
-        mask = rec.valid[:, slot]
-        times = rec.times[mask]
-        xs, es = rec.x[mask, slot], rec.e[mask, slot]
-        final_t = s_taken * cfg.dt
-        if stat != "completed" and (times.size == 0 or times[-1] < final_t - 1e-15):
-            times = np.append(times, final_t)
-            xs = np.concatenate([xs, x[None, slot]])
-            es = np.concatenate([es, e[None, slot]])
-    inc = None if increments is None else increments[slot, :s_taken]
-    return Path(times, xs.copy(), es.copy(), stat, cfg.record_stride, inc)
+def _simulate(m: ModelDescriptor, s0: FrameState, cfg: SimConfig, n_paths: int,
+              draw_for, n_workers: int = 1, record: bool = False,
+              observer_factories: dict | None = None, seed_rule: str = SEED_RULE) -> Ensemble:
+    """The one ensemble driver, after the checks of n_paths and s0: block b
+    (paths lo to hi) runs from s0 on draw_for(b, lo, hi), in block order."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    _require_state(m, s0)
+    factories = observer_factories or {}
+
+    def run(block: int, lo: int, hi: int):
+        x0 = np.repeat(s0.x[None].astype(float), hi - lo, axis=0)
+        e0 = np.repeat(s0.e[None].astype(complex), hi - lo, axis=0)
+        observers = [make(hi - lo) for make in factories.values()]
+
+        def fanout(*args):
+            for ob in observers:
+                ob(*args)
+
+        out = _run_block(m, x0, e0, cfg, draw_for(block, lo, hi),
+                         observer=fanout if observers else None, record=record)
+        return out + ([ob.values for ob in observers],)
+
+    xs, es, sts, steps, recs, obs = zip(*_map_blocks(run, n_paths, n_workers))
+    records = None if not record else Records(recs[0].times, *(
+        np.concatenate([getattr(r, attr) for r in recs], axis=1)
+        for attr in ("x", "e", "valid")))
+    return Ensemble(
+        model=m.name, config=cfg, n_paths=n_paths, x=np.concatenate(xs),
+        e=np.concatenate(es), status=np.concatenate(sts),
+        steps_taken=np.concatenate(steps), seed_rule=seed_rule, records=records,
+        observables={name: np.concatenate(v) for name, v in zip(factories, zip(*obs))},
+    )
+
+
+def _extract_path(ens: Ensemble, increments: np.ndarray | None = None) -> Path:
+    """Path 0 of a recorded ensemble; increments is its (n_steps, n)
+    stream, cut to the steps the path took."""
+    cfg, rec = ens.config, ens.records
+    s_taken = int(ens.steps_taken[0])
+    stat = STATUS_NAMES[ens.status[0]]
+    mask = rec.valid[:, 0]
+    times = rec.times[mask]
+    xs, es = rec.x[mask, 0], rec.e[mask, 0]
+    if stat != "completed" and s_taken % cfg.record_stride:
+        # the stop falls between two records
+        times = np.append(times, s_taken * cfg.dt)
+        xs = np.concatenate([xs, ens.x[:1]])
+        es = np.concatenate([es, ens.e[:1]])
+    inc = None if increments is None else increments[:s_taken]
+    return Path(times, xs, es, stat, cfg.record_stride, inc)
 
 
 def simulate_path(
     m: ModelDescriptor, s0: FrameState, cfg: SimConfig, store_increments: bool = True
 ) -> Path:
-    """Integrate a single trajectory; equals path 0 of the seeded ensemble."""
-    _require_state(m, s0)
-    draw = _seeded_draw_fn(cfg.seed, 0, m.n, cfg.dt, 1)
-    out = _run_block(
-        m, s0.x[None], s0.e[None], cfg, draw,
-        record=True, collect_increments=store_increments,
-    )
-    return _extract_path(cfg, *out, slot=0)
+    """Integrate a single trajectory; equals path 0 of the seeded ensemble.
 
-
-def _assemble(model_name, cfg, n_paths, parts, obs_names):
-    xs, es, sts, steps, recs, obs_vals = zip(*parts)
-    observables = {}
-    for name_i, name in enumerate(obs_names):
-        observables[name] = np.concatenate([ov[name_i] for ov in obs_vals])
-    records = None
-    if recs[0] is not None:
-        records = Records(
-            times=recs[0].times,
-            x=np.concatenate([r.x for r in recs], axis=1),
-            e=np.concatenate([r.e for r in recs], axis=1),
-            valid=np.concatenate([r.valid for r in recs], axis=1),
-        )
-    return Ensemble(
-        model=model_name,
-        config=cfg,
-        n_paths=n_paths,
-        x=np.concatenate(xs),
-        e=np.concatenate(es),
-        status=np.concatenate(sts),
-        steps_taken=np.concatenate(steps),
-        observables=observables,
-        records=records,
-    )
+    Path 0 of simulate_with_increments on driving_increments(cfg, 1, n)
+    with store_increments (Path.increments is that stream up to the stop),
+    else of simulate_ensemble, which materializes no stream.
+    """
+    if store_increments:
+        inc = driving_increments(cfg, 1, m.n)
+        return _extract_path(simulate_with_increments(m, s0, cfg, inc, record=True), inc[0])
+    return _extract_path(simulate_ensemble(m, s0, cfg, 1, record=True))
 
 
 def simulate_ensemble(
@@ -526,31 +529,11 @@ def simulate_ensemble(
     arrays whole while every path lives), so an observer copies what it
     keeps.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    _require_state(m, s0)
-    factories = observer_factories or {}
-    obs_names = list(factories)
+    def draw_for(block: int, lo: int, hi: int):
+        return _seeded_draw_fn(cfg.seed, block, m.n, cfg.dt, hi - lo)
 
-    def run(block: int, lo: int, hi: int):
-        width = hi - lo
-        x0 = np.repeat(s0.x[None].astype(float), width, axis=0)
-        e0 = np.repeat(s0.e[None].astype(complex), width, axis=0)
-        draw = _seeded_draw_fn(cfg.seed, block, m.n, cfg.dt, width)
-        observers = [factories[name](width) for name in obs_names]
-
-        def fanout(*args):
-            for ob in observers:
-                ob(*args)
-
-        x, e, st, steps, rec, _ = _run_block(
-            m, x0, e0, cfg, draw,
-            observer=fanout if observers else None, record=record,
-        )
-        return x, e, st, steps, rec, [ob.values for ob in observers]
-
-    parts = _map_blocks(run, n_paths, n_workers)
-    return _assemble(m.name, cfg, n_paths, parts, obs_names)
+    return _simulate(m, s0, cfg, n_paths, draw_for, n_workers, record,
+                     observer_factories)
 
 
 def simulate_with_increments(
@@ -564,6 +547,9 @@ def simulate_with_increments(
 
     The companion of driving_increments: transform the materialized noise
     and rerun to realize couplings such as the frame-rotation identity.
+    It runs on the ensemble driver, blocked as simulate_ensemble is, so
+    on driving_increments(cfg, P, n) it returns the seeded ensemble of P
+    paths in every array, records included.  P = 0 raises ValueError.
     """
     increments = np.asarray(increments, dtype=complex)
     if increments.shape[1:] != (cfg.n_steps, m.n):
@@ -571,15 +557,9 @@ def simulate_with_increments(
             f"increments must have shape (n_paths, {cfg.n_steps}, {m.n}), "
             f"got {increments.shape}"
         )
-    _require_state(m, s0)
-    p_count = increments.shape[0]
-    x0 = np.repeat(s0.x[None].astype(float), p_count, axis=0)
-    e0 = np.repeat(s0.e[None].astype(complex), p_count, axis=0)
-    out = _run_block(
-        m, x0, e0, cfg, lambda k, _active: increments[:, k, :], record=record,
-    )
-    x, e, st, steps, rec, _ = out
-    return Ensemble(
-        model=m.name, config=cfg, n_paths=p_count, x=x, e=e, status=st,
-        steps_taken=steps, seed_rule="explicit increments", records=rec,
-    )
+
+    def draw_for(_block: int, lo: int, hi: int):
+        return lambda k, _active: increments[lo:hi, k]
+
+    return _simulate(m, s0, cfg, increments.shape[0], draw_for, record=record,
+                     seed_rule="explicit increments")

@@ -180,7 +180,7 @@ def test_singular_frame_rows_retired_nonfinite():
     e0 = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, e, status, steps, _rec, _inc = _run_block(
+        x, e, status, steps, _rec = _run_block(
             m, x0, e0, cfg, lambda k, _active: inc[:, k])
     assert [STATUS_NAMES[s] for s in status] == ["completed", "nonfinite", "completed"]
     assert steps[1] == 0 and (x[1] == x0[1]).all() and (e[1] == np.eye(2)).all()
@@ -241,6 +241,47 @@ def test_increments_width_must_equal_n(heis2):
     narrow = np.full((4, 10, 1), 0.1 + 0.05j)
     with pytest.raises(ValueError, match="increments must have shape"):
         simulate_with_increments(heis2, s0, cfg, narrow)
+
+
+@pytest.mark.parametrize("model", ["heisenberg", "heisenberg_phase"])
+def test_step_refuses_increment_of_wrong_shape(model):
+    """An increment must have the state's leading axes plus (n,): one
+    direction is not broadcast over both on an n = 2 model, and a batch
+    of states takes one increment row per state."""
+    m = heisenberg_model(2) if model == "heisenberg" else phase_rotated_heisenberg(2, 0.9)
+    one = FrameState(np.zeros(5), np.eye(2))
+    two = FrameState(np.zeros((2, 5)), np.stack([np.eye(2)] * 2))
+    for s, db in ((one, np.array([0.1 + 0.1j])), (one, np.full((1, 2), 0.1j)),
+                  (two, np.array([0.1, 0.2j])), (two, np.full((2, 1), 0.1j))):
+        with pytest.raises(ValueError, match=r"increment must have shape \("):
+            step(m, s, db)
+
+
+@pytest.mark.parametrize("name, n", [("heisenberg", 1), ("heisenberg_phase", 1),
+                                     ("heisenberg_phase", 2)])
+def test_explicit_increments_equal_seeded_ensemble(name, n):
+    """On the seeded stream, explicit increments give the seeded ensemble
+    in every array, also in the record slots after a stop: the paths of
+    the second block all stop, and both runs end that block's loop there."""
+    m = heisenberg_model(n) if name == "heisenberg" else phase_rotated_heisenberg(n, 0.9)
+    s0 = FrameState(np.zeros(m.dim), np.eye(m.n))
+    cfg = SimConfig(t_horizon=1.0, n_steps=20, seed=7, coordinate_cap=0.8)
+    seeded = simulate_ensemble(m, s0, cfg, BLOCK + 3, record=True)
+    explicit = simulate_with_increments(m, s0, cfg, driving_increments(cfg, BLOCK + 3, m.n),
+                                        record=True)
+    # the second block's last path stops before the last step
+    assert seeded.steps_taken[BLOCK:].max() < cfg.n_steps - 1
+    for attr in ("x", "e", "status", "steps_taken"):
+        assert getattr(explicit, attr).tobytes() == getattr(seeded, attr).tobytes(), attr
+    for attr in ("times", "x", "e", "valid"):
+        got, want = getattr(explicit.records, attr), getattr(seeded.records, attr)
+        assert got.tobytes() == want.tobytes(), attr
+
+
+def test_explicit_increments_refuse_zero_paths(heis1):
+    cfg = SimConfig(t_horizon=0.1, n_steps=5, seed=50)
+    with pytest.raises(ValueError, match="n_paths must be >= 1"):
+        simulate_with_increments(heis1, ORIGIN1, cfg, np.zeros((0, 5, 1), dtype=complex))
 
 
 @pytest.mark.parametrize("model, x, e", [
@@ -422,7 +463,7 @@ def test_flat_identity_path_equals_frame_contraction(heis2):
     draw = sde._seeded_draw_fn(cfg.seed, 0, 2, cfg.dt, 1)
     x, e, status, steps, rec, _ = _contracting_block(
         heis2, x0[None], np.eye(2), cfg, draw, form_du(2))
-    want = sde._extract_path(cfg, x, e, status, steps, rec, None, slot=0)
+    want = sde._extract_path(sde.Ensemble(heis2.name, cfg, 1, x, e, status, steps, records=rec))
     assert path.status == want.status == "completed"
     for attr in ("times", "x", "e"):
         assert getattr(path, attr).tobytes() == getattr(want, attr).tobytes()
